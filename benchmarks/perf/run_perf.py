@@ -20,11 +20,6 @@ wall-clock cost, the ceiling on how much traffic a run can push through:
 * ``metrics_overhead`` — the fan-out again with the unified metrics
   registry live vs stubbed (``BusConfig.metrics_stub``): instrumenting
   the hot path must cost < ``--max-metrics-overhead`` (default 5%).
-* ``interest_scaling`` — per-frame receive cost with vs without local
-  interest: a pre-encoded compressed stream replayed into one daemon
-  that either subscribes to the feed or to nothing it carries.  The
-  uninterested path (digest read + trie probe + window advance) must be
-  at least ``--min-interest-ratio`` times cheaper than the full decode.
 * ``typed_payload_bytes`` — per-message payload bytes for a DataObject
   feed with inline type metadata vs the session type plane
   (``BusConfig.type_plane``): after the first message of a session the
@@ -49,8 +44,8 @@ Before timing anything the harness proves cache honesty twice over: a
 fixed-seed scenario with bit-flip corruption and a mid-stream
 subscribe/unsubscribe must produce *identical* per-consumer delivery
 sequences, trace output, and corruption counters (a) with caches on and
-off, (b) with wire compression on and off, and (c) with the interest
-gate on and off (the gated run must additionally *skip* frames).
+off, (b) with wire compression on and off, (c) with the type plane on
+and off, and (d) at 4 subject shards and 1.
 
 Run from the repo root::
 
@@ -72,8 +67,8 @@ SRC = ROOT / "src"
 if str(SRC) not in sys.path:                       # repo-relative fallback
     sys.path.insert(0, str(SRC))
 
-from repro.core import (DAEMON_PORT, BusConfig, InformationBus,  # noqa: E402
-                        QoS, StringTable, SubjectTrie, TypeTable,
+from repro.core import (BusConfig, InformationBus, QoS,  # noqa: E402
+                        StringTable, SubjectTrie, TypeTable,
                         decode_packet, encode_packet)
 from repro.core import wire                                      # noqa: E402
 from repro.core.message import Envelope, Packet, PacketKind      # noqa: E402
@@ -347,95 +342,6 @@ def bench_wire_bytes(messages: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# interest scaling: what an uninteresting frame costs a daemon
-# ----------------------------------------------------------------------
-
-ENVELOPES_PER_FRAME = 8
-
-
-def _interest_stream(frames: int, registry) -> list:
-    """A compressed steady-state DATA stream from one publisher session:
-    contiguous seqs, ``ENVELOPES_PER_FRAME`` envelopes per frame over the
-    ``SUBJECT_CYCLE`` subjects.  Frame 0 carries the table definitions;
-    the rest are reference-only, the shape a daemon sees all day."""
-    table = StringTable()
-    payload = encode({"tick": 1}, registry, inline_types=False)
-    out, seq = [], 1
-    for _ in range(frames):
-        envelopes = []
-        for _ in range(ENVELOPES_PER_FRAME):
-            envelopes.append(Envelope(
-                subject=SUBJECT_CYCLE[seq & 7], sender="node00.pub",
-                session="node00#0", seq=seq, payload=payload,
-                publish_time=0.25))
-            seq += 1
-        out.append(encode_packet(
-            Packet(PacketKind.DATA, "node00#0", envelopes,
-                   last_seq=seq - 1, session_start=0.0), table=table))
-    return out
-
-
-def _interest_once(frames: int, interested: bool) -> dict:
-    """Replay a pre-encoded stream straight into one daemon's datagram
-    handler and time the receive path alone.  The first frame is fed
-    un-timed: it defines the string table and establishes the reliable
-    session (first contact always takes the full path)."""
-    wire.configure_decode_memo()
-    bus = InformationBus(seed=9, cost=CostModel.ideal(),
-                         config=BusConfig(advertise_subscriptions=False))
-    bus.add_hosts(2)
-    count = [0]
-    consumer = bus.client("node01", "mon")
-    consumer.subscribe("feed.>" if interested else "quiet.>",
-                       lambda s, p, info: count.__setitem__(0, count[0] + 1))
-    stream = _interest_stream(frames, consumer.registry)
-    daemon = bus.daemons["node01"]
-    src = ("node00", DAEMON_PORT)
-    daemon._on_datagram(stream[0], len(stream[0]), src)
-
-    start = time.perf_counter()
-    for data in stream[1:]:
-        daemon._on_datagram(data, len(data), src)
-    elapsed = time.perf_counter() - start
-
-    timed = len(stream) - 1
-    if interested:
-        assert count[0] == frames * ENVELOPES_PER_FRAME, (
-            f"interested daemon lost messages: {count[0]}")
-        assert daemon.skipped_frames == 0, "interested daemon skipped"
-    else:
-        assert count[0] == 0
-        assert daemon.skipped_frames == timed, (
-            f"gate missed frames: {daemon.skipped_frames} != {timed}")
-        assert daemon.skipped_envelopes == timed * ENVELOPES_PER_FRAME
-    # either way the reliable window consumed the whole stream
-    stats = daemon.reliable_stats("node00#0")
-    assert stats.delivered == frames * ENVELOPES_PER_FRAME
-    assert stats.nacks_sent == 0
-    return {"elapsed": elapsed, "frames": timed}
-
-
-def bench_interest_scaling(frames: int, repeats: int) -> dict:
-    """Per-frame receive cost with vs without local interest.
-
-    The tentpole claim: a daemon that subscribes to none of a frame's
-    subjects pays O(header) — digest read, trie probe, window advance —
-    instead of O(frame).  ``interest_ratio`` is how many times cheaper
-    the uninterested path is; the CI floor (``--min-interest-ratio``)
-    keeps it a structural property, not a tuning accident."""
-    result = {"frames": frames, "envelopes_per_frame": ENVELOPES_PER_FRAME,
-              "repeats": repeats}
-    for label, interested in (("interested", True), ("uninterested", False)):
-        best = min(_interest_once(frames, interested)["elapsed"]
-                   for _ in range(repeats))
-        result[f"{label}_frames_per_sec"] = round((frames - 1) / best, 1)
-    result["interest_ratio"] = round(
-        result["uninterested_frames_per_sec"]
-        / result["interested_frames_per_sec"], 2)
-    return result
-
-
-# ----------------------------------------------------------------------
 # compression honesty: same seed, wire compression on/off, identical
 # observable behaviour
 # ----------------------------------------------------------------------
@@ -494,7 +400,6 @@ def _pivot_once(messages: int, seed: int = 42, **flags) -> dict:
         bus.sim.schedule(0.4 + n * interval, publisher.publish,
                          SUBJECT_CYCLE[n & 7], {"n": n + len(SUBJECT_CYCLE)})
     bus.run_for(30.0)
-    session = bus.daemons["node00"].session
     return {
         "inboxes": inboxes,
         "trace": [(r.time, r.category, r.fields) for r in tracer.records],
@@ -504,16 +409,6 @@ def _pivot_once(messages: int, seed: int = 42, **flags) -> dict:
                                   for d in bus.daemons.values()),
         "frames_corrupted": bus.lan.frames_corrupted,
         "bytes": bus.lan.bytes_transmitted,
-        "skipped_frames": sum(d.skipped_frames
-                              for d in bus.daemons.values()),
-        # how every receiver tracked the publisher session: the gate
-        # must advance windows exactly as the full path would
-        "recv_stats": {
-            address: (stats.delivered, stats.duplicates, stats.nacks_sent)
-            for address in sorted(bus.daemons)
-            if address != "node00"
-            for stats in [bus.daemons[address].reliable_stats(session)]
-        },
     }
 
 
@@ -550,45 +445,6 @@ def check_compression_honesty(messages: int) -> dict:
         "corrupt_dropped": compressed["corrupt_dropped"],
         "bytes_plain": plain["bytes"],
         "bytes_compressed": compressed["bytes"],
-    }
-
-
-def check_gating_honesty(messages: int) -> dict:
-    """Same seed, ``interest_gating`` on vs off: the skip path must be
-    invisible.  The scenario keeps daemons with *no* interest on the
-    segment (node04 outside its subscribe/unsubscribe window) under
-    corruption faults, so frames are both skipped and repaired; the
-    mid-stream subscribe doubles as the late-interest boundary case.
-    ``wire.skipped_*`` / ``wire.lazy.*`` counters are the only expected
-    difference and stay out of the comparison."""
-    gated = _pivot_once(messages, interest_gating=True)
-    ungated = _pivot_once(messages, interest_gating=False)
-    problems = []
-    if gated["inboxes"] != ungated["inboxes"]:
-        problems.append("delivery sequences differ")
-    if gated["trace"] != ungated["trace"]:
-        problems.append("trace records differ")
-    for key in ("corrupt_dropped", "unresolved_dropped",
-                "frames_corrupted", "bytes", "recv_stats"):
-        if gated[key] != ungated[key]:
-            problems.append(f"{key} differs "
-                            f"({gated[key]} != {ungated[key]})")
-    if gated["frames_corrupted"] == 0:
-        problems.append("corruption fault was not exercised")
-    if gated["skipped_frames"] == 0:
-        problems.append("interest gate never skipped a frame")
-    if ungated["skipped_frames"] != 0:
-        problems.append("frames skipped with gating off")
-    total = sum(len(box) for box in gated["inboxes"].values())
-    return {
-        "ok": not problems,
-        "problems": problems,
-        "messages": messages,
-        "deliveries": total,
-        "trace_records": len(gated["trace"]),
-        "frames_corrupted": gated["frames_corrupted"],
-        "corrupt_dropped": gated["corrupt_dropped"],
-        "skipped_frames": gated["skipped_frames"],
     }
 
 
@@ -741,8 +597,6 @@ def _typed_pivot_once(messages: int, seed: int = 42, **flags) -> dict:
         "decode_errors": decode_errors,
         "frames_corrupted": bus.lan.frames_corrupted,
         "bytes": bus.lan.bytes_transmitted,
-        "skipped_frames": sum(d.skipped_frames
-                              for d in bus.daemons.values()),
         "recv_stats": {
             address: (stats.delivered, stats.duplicates, stats.nacks_sent)
             for address in sorted(bus.daemons)
@@ -765,7 +619,7 @@ def check_typed_honesty(messages: int) -> dict:
     if plane["trace"] != flat["trace"]:
         problems.append("trace records differ")
     for key in ("corrupt_dropped", "frames_corrupted", "recv_stats",
-                "skipped_frames", "retransmits"):
+                "retransmits"):
         if plane[key] != flat[key]:
             problems.append(f"{key} differs "
                             f"({plane[key]} != {flat[key]})")
@@ -1089,10 +943,6 @@ def main(argv=None) -> int:
                         help="fail if live registry instruments cost more "
                              "than this fraction of fan-out throughput "
                              "vs the stubbed registry")
-    parser.add_argument("--min-interest-ratio", type=float, default=3.0,
-                        help="fail unless an uninteresting frame is at "
-                             "least this many times cheaper to receive "
-                             "than an interesting one")
     parser.add_argument("--min-typed-reduction", type=float, default=0.40,
                         help="fail unless the type plane cuts steady-"
                              "state payload bytes per message by at "
@@ -1106,11 +956,11 @@ def main(argv=None) -> int:
     if args.quick:
         fanout_msgs, repeats = 600, 2
         trie_iters, codec_iters = 60_000, 20_000
-        det_msgs, interest_frames = 80, 300
+        det_msgs = 80
     else:
         fanout_msgs, repeats = 3000, 3
         trie_iters, codec_iters = 300_000, 80_000
-        det_msgs, interest_frames = 150, 1200
+        det_msgs = 150
 
     print("determinism: fixed seed, caches on vs off ...")
     determinism = check_determinism(det_msgs)
@@ -1135,18 +985,6 @@ def main(argv=None) -> int:
           f"{compression['bytes_compressed']} vs "
           f"{compression['bytes_plain']} bytes, "
           f"identical with compression on/off")
-
-    print("gating honesty: fixed seed, interest gating on vs off ...")
-    wire.configure_decode_memo()
-    gating = check_gating_honesty(det_msgs)
-    for problem in gating["problems"]:
-        print(f"  FAIL: {problem}")
-    if not gating["ok"]:
-        return 1
-    print(f"  ok — {gating['deliveries']} deliveries, "
-          f"{gating['trace_records']} trace records, "
-          f"{gating['skipped_frames']} frames skipped, "
-          f"identical with gating on/off")
 
     print("typed honesty: fixed seed, type plane on vs off ...")
     wire.configure_decode_memo()
@@ -1190,10 +1028,6 @@ def main(argv=None) -> int:
           f"{fanout_msgs} msgs ...")
     benches["metrics_overhead"] = bench_metrics_overhead(fanout_msgs,
                                                          repeats)
-    print(f"interest_scaling: {interest_frames} frames, interested vs "
-          f"uninterested daemon ...")
-    benches["interest_scaling"] = bench_interest_scaling(interest_frames,
-                                                         repeats)
     print(f"typed_payload_bytes: inline metadata vs type plane, "
           f"{fanout_msgs} msgs ...")
     benches["typed_payload_bytes"] = bench_typed_payload_bytes(fanout_msgs)
@@ -1202,7 +1036,7 @@ def main(argv=None) -> int:
     wire.configure_decode_memo()   # leave the process at defaults
 
     report = {
-        "schema": 6,
+        "schema": 7,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -1210,7 +1044,6 @@ def main(argv=None) -> int:
         "benches": benches,
         "determinism": determinism,
         "compression_honesty": compression,
-        "gating_honesty": gating,
         "typed_honesty": typed_honesty,
         "sharding_honesty": sharding_honesty,
     }
@@ -1224,9 +1057,6 @@ def main(argv=None) -> int:
         elif "shard_ratio" in bench:
             print(f"  {name}: {rates}  "
                   f"(shard ratio {bench['shard_ratio']}x, simulated time)")
-        elif "interest_ratio" in bench:
-            print(f"  {name}: {rates}  "
-                  f"(ratio {bench['interest_ratio']}x)")
         elif "overhead" in bench:
             print(f"  {name}: {rates}  (overhead {bench['overhead']:.1%})")
         elif "payload_reduction" in bench:
@@ -1260,11 +1090,6 @@ def main(argv=None) -> int:
     if overhead > args.max_metrics_overhead:
         print(f"FAIL: metrics overhead {overhead:.1%} > "
               f"allowed {args.max_metrics_overhead:.1%}")
-        failed = True
-    ratio = benches["interest_scaling"]["interest_ratio"]
-    if ratio < args.min_interest_ratio:
-        print(f"FAIL: interest ratio {ratio}x < "
-              f"required {args.min_interest_ratio}x")
         failed = True
     typed = benches["typed_payload_bytes"]["payload_reduction"]
     if typed < args.min_typed_reduction:

@@ -49,8 +49,7 @@ from .reliable import ReliableConfig, ReliableReceiver, ReliableSender
 from .subjects import SubjectTrie, validate_subject
 from .typeplane import PeerTypeView, TypeTable
 from .wire import (CorruptFrame, StringTable, UnresolvedIds,
-                   UnresolvedTypeId, decode_packet, encode_packet,
-                   read_digest)
+                   UnresolvedTypeId, decode_packet, encode_packet)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .client import BusClient
@@ -85,6 +84,12 @@ def shard_data_port(shard: int) -> int:
 def shard_stat_port(shard: int) -> int:
     """The telemetry port of shard plane ``shard``."""
     return STAT_PORT + SHARD_PORT_STRIDE * shard
+
+
+# Wrapped by name in perfbench/spans.py; nothing calls it.
+def read_digest(*_args, **_kwargs) -> None:
+    return None
+
 
 #: Reserved subject on which daemons advertise their subscription tables
 #: (consumed by information routers; see repro.core.router).
@@ -149,15 +154,6 @@ class BusConfig:
     #: False keeps the plain encoding — the ablation baseline the perf
     #: harness compares against to prove behaviour is identical.
     wire_compression: bool = True
-    #: Interest-gate the receive path: read each DATA/RETRANS frame's
-    #: subject digest first and, when no subject matches a local
-    #: subscription, advance the reliable session window straight from
-    #: the digest without decoding envelope bodies (see "Receive path"
-    #: in docs/PROTOCOLS.md).  Guaranteed (ledgered) envelopes and
-    #: ``_bus.stat.*`` frames always take the full path.  False decodes
-    #: every frame fully — the ablation baseline the perf harness
-    #: compares against to prove behaviour is bit-identical.
-    interest_gating: bool = True
     #: Seconds between telemetry snapshots published on
     #: ``_bus.stat.<host>.daemon``.  0 (the default) disables the
     #: publisher entirely; runs with it on are bit-identical to runs
@@ -254,13 +250,6 @@ class BusDaemon:
         #: the RETRANS re-defines every type it references)
         self._typedef_unresolved = scope.counter(
             "wire.typedef.unresolved_dropped")
-        #: frames the interest gate skipped whole: no digest subject
-        #: matched a local subscription, and the reliable window
-        #: advanced straight from the digest (bodies never decoded)
-        self._skipped_frames = scope.counter("wire.skipped_frames")
-        #: envelopes inside those skipped frames (seq accounting done,
-        #: bodies never materialized)
-        self._skipped_envelopes = scope.counter("wire.skipped_envelopes")
         # lazily read wire/topology gauges (cost is paid at snapshot)
         scope.gauge("clients", source=lambda: len(self.clients))
         scope.gauge("subscriptions",
@@ -322,13 +311,10 @@ class BusDaemon:
     def typedef_unresolved_dropped(self) -> int:
         return self._typedef_unresolved.value
 
+    # Read by name in perfbench/workloads.py; every frame is decoded.
     @property
     def skipped_frames(self) -> int:
-        return self._skipped_frames.value
-
-    @property
-    def skipped_envelopes(self) -> int:
-        return self._skipped_envelopes.value
+        return 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -709,8 +695,6 @@ class BusDaemon:
     # receive path
     # ------------------------------------------------------------------
     def _on_datagram(self, data: bytes, size: int, src: Endpoint) -> None:
-        if self.config.interest_gating and self._gate_datagram(data):
-            return
         try:
             packet = decode_packet(data, tables=self._peer_tables,
                                    type_tables=self._peer_type_tables)
@@ -752,55 +736,6 @@ class BusDaemon:
             self._serve_nack(packet, src)
         elif packet.kind is PacketKind.ACK:
             self._gpub.handle_ack(packet.ack_ledger_id, packet.ack_consumer)
-
-    def _gate_datagram(self, data: bytes) -> bool:
-        """The interest gate: True when the frame is fully handled in
-        O(header) — nothing local wanted it and the reliable window
-        advanced from its subject digest alone (or it was corrupt /
-        unresolvable, handled exactly as the full path would).
-
-        Falls back to the full decode path (returns False) whenever
-        skipping could be observable: a digest subject matches a local
-        subscription (including the router leg's forwarding patterns,
-        which live in this same trie), the frame carries guaranteed or
-        unsequenced envelopes, or the reliable receiver is in any state
-        other than trivial in-order/duplicate accounting.
-        """
-        try:
-            digest = read_digest(data, tables=self._peer_tables,
-                                 type_tables=self._peer_type_tables)
-        except UnresolvedIds as err:
-            # identical handling to the full path: the bodies reference
-            # at least the ids the digest (and the typedef reference
-            # list) does, so decoding would have raised the same
-            # condition
-            if isinstance(err, UnresolvedTypeId):
-                self._typedef_unresolved.value += 1
-            else:
-                self._unresolved_dropped.value += 1
-            if self.tracer:
-                self.tracer.emit(self.sim.now, "wire.unresolved",
-                                 session=err.session,
-                                 first=err.first_seq, last=err.last_seq)
-            self._receiver.note_undecodable(
-                err.session, err.first_seq, err.last_seq,
-                session_start=err.session_start)
-            return True
-        except CorruptFrame:
-            # same counter, same silence as the full path's CRC reject
-            self._corrupt_dropped.value += 1
-            return True
-        if digest is None or digest.needs_full:
-            return False
-        matches = self._subscriptions.matches_anything
-        for subject in digest.subjects:
-            if matches(subject):
-                return False
-        if not self._receiver.try_skip(digest.entries):
-            return False
-        self._skipped_frames.value += 1
-        self._skipped_envelopes.value += len(digest.entries)
-        return True
 
     def _serve_nack(self, packet: Packet, src: Endpoint) -> None:
         if packet.session != self.session or packet.nack_range is None:
@@ -1101,8 +1036,8 @@ class BusDaemon:
         return stats
 
     def wire_stats(self) -> Dict[str, Any]:
-        """Wire state: compression tables, unresolvable drops, and what
-        the interest gate skipped."""
+        """Wire state: compression and typedef tables, and unresolvable
+        drops."""
         return {
             "compression": self._wire_table is not None,
             "table_strings": len(self._wire_table)
@@ -1110,9 +1045,6 @@ class BusDaemon:
             "peer_sessions": len(self._peer_tables),
             "peer_strings": sum(len(t) for t in self._peer_tables.values()),
             "unresolved_dropped": self.unresolved_dropped,
-            "interest_gating": self.config.interest_gating,
-            "skipped_frames": self.skipped_frames,
-            "skipped_envelopes": self.skipped_envelopes,
             "type_plane": self._type_table is not None,
             "typedef_table_types": (len(self._type_table)
                                     if self._type_table is not None else 0),
@@ -1139,7 +1071,6 @@ class BusDaemon:
             "published": self.published,
             "delivered": self.delivered,
             "subscriptions": len(self._subscriptions),
-            "skipped_frames": self.skipped_frames,
         }]
 
     def guaranteed_pending(self) -> List[LedgerEntry]:

@@ -19,10 +19,9 @@ legs over the WAN; a leg subscribes locally to exactly the patterns the
 large bus".
 
 Because a leg is an ordinary client, its forwarding patterns live in its
-host daemon's subscription trie — so the interest gate (the "Receive
-path" in docs/PROTOCOLS.md) consults the forwarding table for free:
-frames carrying only subjects no local application *and no remote bus*
-wants are skipped from their digests without decoding a body.
+host daemon's subscription trie, so the daemon's ordinary subject match
+(the "Receive path" in docs/PROTOCOLS.md) is the forwarding decision:
+an envelope no remote bus wants never reaches the leg.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ the daemon interface clients and routers already speak.  Each plane is
 a self-contained bus daemon: its own port pair, CPU lane, reliable
 sessions, wire string table, session type table, and telemetry
 publisher.  Planes never share wire state, so everything the
-wire-efficiency arc built (header compression, interest gating, the
-type plane) rides unchanged per plane.
+wire-efficiency arc built (header compression, the type plane) rides
+unchanged per plane.
 
 Shard map rules (all deterministic, all derived from the subject's
 first element — the paper's own partitioning hint):
@@ -269,14 +269,6 @@ class ShardedDaemon:
     @property
     def typedef_unresolved_dropped(self) -> int:
         return sum(d.typedef_unresolved_dropped for d in self.shards)
-
-    @property
-    def skipped_frames(self) -> int:
-        return sum(d.skipped_frames for d in self.shards)
-
-    @property
-    def skipped_envelopes(self) -> int:
-        return sum(d.skipped_envelopes for d in self.shards)
 
     # ------------------------------------------------------------------
     # introspection (aggregated across planes)

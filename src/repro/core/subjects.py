@@ -166,10 +166,10 @@ class SubjectTrie(Generic[T]):
         #: ``_memo_generation`` equals ``_generation``
         self._memo: Dict[str, FrozenSet[T]] = {}
         #: concrete subject -> bool, the :meth:`matches_anything` memo.
-        #: Separate from ``_memo`` because the interest gate asks about
-        #: subjects this daemon will *never* ``match()`` (that is the
-        #: point), so the full-result memo stays cold for them.  Guarded
-        #: by the same generation stamp.
+        #: Separate from ``_memo`` because ``matches_anything`` callers
+        #: ask about subjects they may never ``match()``, so the
+        #: full-result memo stays cold for them.  Guarded by the same
+        #: generation stamp.
         self._bool_memo: Dict[str, bool] = {}
         self._generation = 0
         self._memo_generation = 0
@@ -297,12 +297,10 @@ class SubjectTrie(Generic[T]):
         """Cheaper ``bool(match(subject))`` for forwarding decisions.
 
         Short-circuits on the first registration found instead of
-        materializing the full match set (routers call this once per
-        envelope heard on a bus, and the interest gate once per digest
-        subject).  Results are memoized alongside the full-match memo —
-        steady-state disinterest is one dict hit — and invalidated by
-        the same generation stamp, so a mid-stream subscribe is visible
-        on the very next frame.
+        materializing the full match set.  Results are memoized
+        alongside the full-match memo — steady-state disinterest is one
+        dict hit — and invalidated by the same generation stamp, so a
+        mid-stream subscribe is visible on the very next frame.
         """
         if self._memo_capacity:
             if self._memo_generation != self._generation:

@@ -75,36 +75,19 @@ definitions ride in a **typedef region** on the frames (flag ``0x20``),
 under exactly the string-table rules: a DATA frame defines ids on their
 first wire appearance, a RETRANS frame re-defines *all* ids its
 envelopes reference, and the region additionally lists the frame's full
-reference set so :func:`read_digest` validates resolvability in
-O(header) — gated and ungated receivers fail identically.  Definitions
-are opaque byte strings (marshalled ``describe()`` dicts) the wire
-layer never parses; receivers accumulate them per session in
-``type_tables``.  A frame referencing an unlearned type id raises
-:class:`UnresolvedTypeId` — same drop + NACK arming as
-:class:`UnresolvedStringId` (which takes precedence when both are
-missing, keeping the two decode paths deterministic).  The typedef
-region is independent of header compression and absent when no envelope
-in the frame carries typed payloads, so untyped traffic pays nothing.
+reference set, so the decoder validates resolvability without parsing
+the payloads that carry the references.  Definitions are opaque byte
+strings (marshalled ``describe()`` dicts) the wire layer never parses;
+receivers accumulate them per session in ``type_tables``.  A frame
+referencing an unlearned type id raises :class:`UnresolvedTypeId` —
+same drop + NACK arming as :class:`UnresolvedStringId` (which takes
+precedence when both are missing, on a memo hit as on a fresh parse).
+The typedef region is independent of header compression and absent
+when no envelope in the frame carries typed payloads, so untyped
+traffic pays nothing.
 
-Subject digests and the interest gate
--------------------------------------
-
-On a broadcast bus most daemons are uninterested in most frames, yet
-every daemon hears every DATA frame.  So DATA and RETRANS frames lead
-with a **subject digest**: one tiny entry per envelope — subject,
-``(session, seq)``, and a guaranteed-delivery marker — placed *before*
-the envelope bodies.  :func:`read_digest` parses just the frame header,
-the defs section, and the digest in O(header) time, letting a receiving
-daemon ask "does anything here match my subscriptions?" without ever
-materializing the bodies.  When nothing matches, the daemon advances
-its reliable session window straight from the digest's seq spans
-(:meth:`repro.core.reliable.ReliableReceiver.try_skip`) and drops the
-frame unparsed — O(header) instead of O(frame) per uninteresting frame.
-Crucially a skipped frame still replays the table definitions it
-carries (the defs section precedes the digest), so skipping never
-starves the receiver's string table.  Digest reads share the decode
-memo's design: a per-frame-bytes LRU whose entries replay ``defines``
-and validate ``needs`` per receiver.
+Lazy envelope payloads
+----------------------
 
 Envelope bodies decode to :class:`EnvelopeView`\\ s: header fields are
 parsed eagerly (they drive matching and ordering) but the payload stays
@@ -116,12 +99,10 @@ Frame body layout (all integers varint unless noted)::
 
     packet     := kind:u8 flags:u8 session:str session_start:f64
                   last_seq [first last] [ack_ledger_id:str]
-                  [ack_consumer:str] [defs] [tdefs] [digest] count envelope*
+                  [ack_consumer:str] [defs] [tdefs] count envelope*
     defs       := def_count (id string:str)*          # iff flags COMPRESSED
     tdefs      := tdef_count (tid desc:bytes)*
                   tref_count tid*                     # iff flags TYPED
-    digest     := entry_count entry*                  # iff flags DIGEST
-    entry      := dflags:u8 subject seq [env_session]
     envelope   := flags:u8 subject:str sender:str session:str seq qos:u8
                   publish_time:f64 envelope_id [ledger_id:str]
                   via_count via:str* payload:bytes
@@ -129,27 +110,20 @@ Frame body layout (all integers varint unless noted)::
                   publish_time:f64 envelope_id [ledger_id_id]
                   via_count via_id* payload:bytes     # iff flags COMPRESSED
 
-``flags`` marks which optional fields follow (packet bit ``0x08`` =
-COMPRESSED, ``0x10`` = DIGEST, set on every DATA/RETRANS frame,
-``0x20`` = TYPED, set when any envelope references session type ids).
+``flags`` marks which optional fields follow (packet bits ``0x01`` =
+NACK range, ``0x02`` = ack ledger id, ``0x04`` = ack consumer, ``0x08``
+= COMPRESSED, ``0x20`` = TYPED, set when any envelope references
+session type ids; envelope bit ``0x01`` = ledger id).  Any other bit —
+including the retired ``0x10`` — makes the frame :class:`CorruptFrame`.
 ``tdefs`` carries ``(type id, definition bytes)`` pairs followed by the
 frame's full type-reference list (``tref_count tid*``) — definitions
-are applied, references validated, on both decode paths.
-Digest ``subject``/``env_session`` are table ids iff the frame is
-COMPRESSED, else inline strings; ``env_session`` appears only when
-``dflags`` bit ``0x02`` is set (the envelope's session differs from the
-packet session).  ``dflags`` bit ``0x01`` marks a guaranteed (ledgered)
-envelope — those always take the full decode path.  ``entry_count``
-must equal the body ``count``; a digest lists exactly the envelopes
-behind it, and the encoder derives it from the same envelope objects,
-so a CRC-valid frame's digest can only disagree with its bodies if the
-*encoder* was hostile (the CRC protects both regions against channel
-corruption).  Strings are UTF-8 with a varint length prefix; ``f64`` is
-a big-endian IEEE double.  Decoded header strings are ``sys.intern``\\ ed
-so the subject-match memo and per-app lanes key on identical objects,
-and the parse itself runs on a single :class:`~repro.sim.framing.Cursor`
-over a zero-copy view of the frame — in the compressed steady state a
-header string is a table lookup, not an allocation.
+are applied, references validated.  Strings are UTF-8 with a varint
+length prefix; ``f64`` is a big-endian IEEE double.  Decoded header
+strings are ``sys.intern``\\ ed so the subject-match memo and per-app
+lanes key on identical objects, and the parse itself runs on a single
+:class:`~repro.sim.framing.Cursor` over a zero-copy view of the frame —
+in the compressed steady state a header string is a table lookup, not
+an allocation.
 """
 
 from __future__ import annotations
@@ -165,11 +139,11 @@ from .message import Envelope, Packet, PacketKind, QoS
 from .metrics import MetricsRegistry
 
 __all__ = ["CorruptFrame", "DEFAULT_DECODE_MEMO_CAPACITY", "EnvelopeView",
-           "FrameDigest", "StringTable",
+           "StringTable",
            "UnresolvedStringId", "UnresolvedTypeId",
            "configure_decode_memo",
            "decode_memo_stats", "decode_packet", "encode_envelope",
-           "read_digest", "wire_metrics",
+           "wire_metrics",
            "encode_envelope_compressed", "encode_packet",
            "envelope_wire_size", "packet_wire_size"]
 
@@ -190,15 +164,12 @@ _P_NACK_RANGE = 0x01
 _P_ACK_LEDGER = 0x02
 _P_ACK_CONSUMER = 0x04
 _P_COMPRESSED = 0x08
-_P_DIGEST = 0x10
 _P_TYPED = 0x20
+_P_DEFINED = (_P_NACK_RANGE | _P_ACK_LEDGER | _P_ACK_CONSUMER
+              | _P_COMPRESSED | _P_TYPED)
 
 # envelope flag bits
 _E_LEDGER = 0x01
-
-# digest entry flag bits
-_D_LEDGER = 0x01     # guaranteed envelope: receivers must decode fully
-_D_SESSION = 0x02    # envelope session differs from the packet session
 
 _intern = sys.intern
 
@@ -237,7 +208,7 @@ class UnresolvedTypeId(UnresolvedIds):
     """A typed frame referenced session type ids this receiver has not
     learned (see "The session type plane" above).  When a frame is
     missing both string and type ids, :class:`UnresolvedStringId` wins —
-    both decode paths check strings first."""
+    the memo replay and the fresh parse both check strings first."""
 
     _what = "type ids"
 
@@ -454,36 +425,6 @@ def envelope_wire_size(envelope: Envelope) -> int:
 # packets
 # ----------------------------------------------------------------------
 
-def _write_digest(out: BytesIO, packet: Packet,
-                  table: Optional[StringTable]) -> None:
-    """Write the subject-digest region: one entry per envelope body.
-
-    With ``table`` (compressed frames) subjects/sessions are written as
-    table ids; every id is already interned — the envelope bodies were
-    encoded first (their defs precede the digest on the wire), and a
-    body always references its subject and session.
-    """
-    write_varint(out, len(packet.envelopes))
-    for envelope in packet.envelopes:
-        dflags = 0
-        if envelope.ledger_id is not None:
-            dflags |= _D_LEDGER
-        alt_session = envelope.session != packet.session
-        if alt_session:
-            dflags |= _D_SESSION
-        out.write(bytes((dflags,)))
-        if table is not None:
-            write_varint(out, table.ids[envelope.subject])
-        else:
-            write_str(out, envelope.subject)
-        write_varint(out, envelope.seq)
-        if alt_session:
-            if table is not None:
-                write_varint(out, table.ids[envelope.session])
-            else:
-                write_str(out, envelope.session)
-
-
 def _write_typedefs(out: BytesIO, packet: Packet, type_table,
                     trefs: Set[int]) -> None:
     """Write the typedef region: definitions, then the full ref list.
@@ -520,15 +461,12 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
     use the plain encoding.  With ``type_table`` (the daemon's
     :class:`~repro.core.typeplane.TypeTable`), frames whose envelopes
     carry ``type_refs`` get a typedef region under the same
-    define-on-DATA / redefine-all-on-RETRANS rules.  DATA and RETRANS
-    frames always carry a subject digest ahead of the envelope bodies
-    (see the module docstring) so receivers can interest-gate without
-    decoding them.
+    define-on-DATA / redefine-all-on-RETRANS rules.
     """
-    digest = packet.kind in (PacketKind.DATA, PacketKind.RETRANS)
-    compress = table is not None and digest
+    carries_data = packet.kind in (PacketKind.DATA, PacketKind.RETRANS)
+    compress = table is not None and carries_data
     trefs: Set[int] = set()
-    if type_table is not None and digest:
+    if type_table is not None and carries_data:
         for envelope in packet.envelopes:
             trefs.update(getattr(envelope, "type_refs", ()))
     out = BytesIO()
@@ -545,8 +483,6 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
         flags |= _P_ACK_CONSUMER
     if compress:
         flags |= _P_COMPRESSED
-    if digest:
-        flags |= _P_DIGEST
     if trefs:
         flags |= _P_TYPED
     out.write(bytes((flags,)))
@@ -578,15 +514,12 @@ def encode_packet(packet: Packet, table: Optional[StringTable] = None,
             write_str(out, text)
         if trefs:
             _write_typedefs(out, packet, type_table, trefs)
-        _write_digest(out, packet, table)
         write_varint(out, len(bodies))
         for body in bodies:
             out.write(body)
     else:
         if trefs:
             _write_typedefs(out, packet, type_table, trefs)
-        if digest:
-            _write_digest(out, packet, None)
         write_varint(out, len(packet.envelopes))
         for envelope in packet.envelopes:
             out.write(encode_envelope(envelope))
@@ -614,15 +547,6 @@ _decode_memo_capacity = DEFAULT_DECODE_MEMO_CAPACITY
 # part of per-daemon ``_bus.stat.*`` snapshots, where self-referential
 # stat frames hitting the shared memo would make publishing perturb the
 # very counters being published.
-# digest memo: the O(header) companion of the decode memo, same design
-# (keyed by exact frame bytes; entries replay defines and validate needs
-# per receiver), shared capacity knob.  Kept separate because the two
-# populate independently: an interest-gated daemon reads only digests,
-# an interested one decodes fully.
-_DigestEntry = Tuple["FrameDigest", Optional[Dict[int, str]],
-                     Optional[Dict[int, str]], Optional[Dict[int, bytes]],
-                     Optional[Dict[int, bytes]]]
-_digest_memo: "OrderedDict[bytes, _DigestEntry]" = OrderedDict()
 
 _wire_metrics = MetricsRegistry()
 _decode_memo_hits = _wire_metrics.counter("wire.decode_memo.hits")
@@ -631,10 +555,6 @@ _wire_metrics.gauge("wire.decode_memo.capacity",
                     source=lambda: _decode_memo_capacity)
 _wire_metrics.gauge("wire.decode_memo.size",
                     source=lambda: len(_decode_memo))
-_digest_memo_hits = _wire_metrics.counter("wire.digest_memo.hits")
-_digest_memo_misses = _wire_metrics.counter("wire.digest_memo.misses")
-_wire_metrics.gauge("wire.digest_memo.size",
-                    source=lambda: len(_digest_memo))
 #: lazy-payload accounting: views created by the decoder vs views whose
 #: payload something downstream actually materialized
 _lazy_views = _wire_metrics.counter("wire.lazy.views")
@@ -646,16 +566,16 @@ _typedef_learned = _wire_metrics.counter("wire.typedef.learned")
 
 
 def wire_metrics() -> MetricsRegistry:
-    """The module-level registry holding the decode-memo, digest-memo,
-    and lazy-payload (``wire.lazy.*``) instruments."""
+    """The module-level registry holding the decode-memo, lazy-payload
+    (``wire.lazy.*``) and typedef-region instruments."""
     return _wire_metrics
 
 
 def configure_decode_memo(capacity: int = DEFAULT_DECODE_MEMO_CAPACITY
                           ) -> None:
-    """Resize the decode and digest memos (0 disables both); clears
-    entries and every module-level wire counter (memo hit/miss and
-    ``wire.lazy.*``) so runs start cold."""
+    """Resize the decode memo (0 disables it); clears entries and every
+    module-level wire counter (memo hit/miss, ``wire.lazy.*`` and
+    ``wire.typedef.*``) so runs start cold."""
     global _decode_memo_capacity
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0 (got {capacity})")
@@ -663,9 +583,6 @@ def configure_decode_memo(capacity: int = DEFAULT_DECODE_MEMO_CAPACITY
     _decode_memo.clear()
     _decode_memo_hits.reset()
     _decode_memo_misses.reset()
-    _digest_memo.clear()
-    _digest_memo_hits.reset()
-    _digest_memo_misses.reset()
     _lazy_views.reset()
     _lazy_hydrations.reset()
     _typedef_defined.reset()
@@ -817,6 +734,8 @@ def _decode_packet_body(
     except KeyError:
         raise CorruptFrame("unknown packet kind code") from None
     flags = cur.u8()
+    if flags & ~_P_DEFINED:
+        raise CorruptFrame(f"undefined packet flags {flags:#x}")
     session = _intern(cur.str_())
     session_start = cur.f64()
     last_seq = cur.varint()
@@ -862,37 +781,8 @@ def _decode_packet_body(
             raise CorruptFrame(f"typedef flag on {kind.value} packet")
         ttable, tdefines, treferenced, tmissing = _read_typedefs(
             cur, session, type_tables)
-    digest_count = None
-    if flags & _P_DIGEST:
-        if kind not in (PacketKind.DATA, PacketKind.RETRANS):
-            raise CorruptFrame(f"digest flag on {kind.value} packet")
-        # the full decode only *skips over* the digest — the bodies are
-        # authoritative — but digest subject/session refs still count as
-        # referenced ids, so a frame whose digest cites an unlearned id
-        # resolves (or fails) identically via read_digest and here.
-        digest_count = cur.varint()
-        for _ in range(digest_count):
-            dflags = cur.u8()
-            if dflags & ~(_D_LEDGER | _D_SESSION):
-                raise CorruptFrame(f"unknown digest flags {dflags:#x}")
-            if compressed:
-                _resolve_ref(cur.varint(), table, referenced, missing)
-            else:
-                cur.str_()
-            cur.varint()
-            if dflags & _D_SESSION:
-                if compressed:
-                    _resolve_ref(cur.varint(), table, referenced, missing)
-                else:
-                    cur.str_()
-    count = cur.varint()
-    if digest_count is not None and digest_count != count:
-        raise CorruptFrame(
-            f"digest lists {digest_count} envelopes, body carries {count}")
-    envelopes = []
-    for _ in range(count):
-        envelopes.append(
-            _read_envelope(cur, compressed, table, referenced, missing))
+    envelopes = [_read_envelope(cur, compressed, table, referenced, missing)
+                 for _ in range(cur.varint())]
     if not cur.exhausted:
         raise CorruptFrame(f"{cur.remaining()} trailing bytes after packet")
     if missing:
@@ -920,6 +810,8 @@ def _decode_packet_body(
 def _read_envelope(cur: Cursor, compressed: bool, table: Dict[int, str],
                    referenced: Set[int], missing: Set[int]) -> EnvelopeView:
     flags = cur.u8()
+    if flags & ~_E_LEDGER:
+        raise CorruptFrame(f"undefined envelope flags {flags:#x}")
     if compressed:
         subject = _resolve_ref(cur.varint(), table, referenced, missing)
         sender = _resolve_ref(cur.varint(), table, referenced, missing)
@@ -952,216 +844,6 @@ def _read_envelope(cur: Cursor, compressed: bool, table: Dict[int, str],
     payload_view = cur.view_()
     return EnvelopeView(subject, sender, session, seq, qos, ledger_id,
                         publish_time, tuple(via), envelope_id, payload_view)
-
-
-# ----------------------------------------------------------------------
-# the O(header) digest read (the interest gate's view of a frame)
-# ----------------------------------------------------------------------
-
-class FrameDigest:
-    """What :func:`read_digest` learns about a frame without decoding it.
-
-    ``entries`` is one ``(session, seq)`` pair per envelope body, in
-    frame order; ``subjects`` the distinct subjects in first-seen order
-    (what the interest gate matches); ``needs_full`` is True when any
-    envelope must take the full decode path regardless of local interest
-    (guaranteed/ledgered envelopes, whose ack+dedupe protocol runs even
-    with no subscriber, and unsequenced ``seq == 0`` telemetry frames).
-    """
-
-    __slots__ = ("kind", "session", "session_start", "last_seq",
-                 "subjects", "entries", "needs_full")
-
-    def __init__(self, kind: PacketKind, session: str, session_start: float,
-                 last_seq: int, subjects: Tuple[str, ...],
-                 entries: List[Tuple[str, int]], needs_full: bool):
-        self.kind = kind
-        self.session = session
-        self.session_start = session_start
-        self.last_seq = last_seq
-        self.subjects = subjects
-        self.entries = entries
-        self.needs_full = needs_full
-
-
-def read_digest(data: bytes,
-                tables: Optional[Dict[str, Dict[int, str]]] = None,
-                type_tables: Optional[Dict[str, Dict[int, bytes]]] = None
-                ) -> Optional[FrameDigest]:
-    """Parse just the header, defs, and subject digest of one frame.
-
-    The interest gate's entry point: O(header) work (the CRC check is
-    still O(frame), but at C speed), never touching envelope bodies.
-    Returns ``None`` for frames without a digest (HEARTBEAT/NACK/ACK, or
-    pre-digest encodings) — the caller must decode fully.  Like
-    :func:`decode_packet` it applies the frame's table and typedef
-    definitions to ``tables``/``type_tables`` *even when the caller goes
-    on to skip the frame* — a skipped frame must still replay the
-    definitions it carries — and raises :class:`UnresolvedStringId` /
-    :class:`UnresolvedTypeId` when the digest or the typedef reference
-    list cites ids this receiver has not learned (the bodies reference
-    at least those same ids, so the full path would fail identically).
-    Successful reads are memoized by frame bytes next to the decode
-    memo, with the same per-receiver ``defines`` replay and by-value
-    ``needs`` check.
-    """
-    key = None
-    if _decode_memo_capacity:
-        key = bytes(data)
-        entry = _digest_memo.get(key)
-        if entry is not None:
-            digest, needs, defines, tneeds, tdefines = entry
-            if needs is None and tneeds is None:    # plain frame
-                _digest_memo.move_to_end(key)
-                _digest_memo_hits.value += 1
-                return digest
-            unresolved = []
-            tunresolved = []
-            mismatch = False
-            if defines is not None:
-                table = (tables.setdefault(digest.session, {})
-                         if tables is not None else {})
-                for idx, text in defines.items():
-                    table[idx] = text
-                for idx, text in needs.items():
-                    have = table.get(idx)
-                    if have is None:
-                        unresolved.append(idx)
-                    elif have != text:
-                        mismatch = True             # colliding table state
-                        break
-            if not mismatch and tdefines is not None:
-                ttable = (type_tables.setdefault(digest.session, {})
-                          if type_tables is not None else {})
-                for tid, blob in tdefines.items():
-                    ttable[tid] = blob
-                for tid, blob in tneeds.items():
-                    have = ttable.get(tid)
-                    if have is None:
-                        tunresolved.append(tid)
-                    elif have != blob:
-                        mismatch = True             # colliding table state
-                        break
-            if not mismatch:
-                _digest_memo.move_to_end(key)
-                _digest_memo_hits.value += 1
-                if unresolved:
-                    seqs = [seq for _, seq in digest.entries]
-                    raise UnresolvedStringId(
-                        digest.session, unresolved, min(seqs), max(seqs),
-                        digest.session_start)
-                if tunresolved:
-                    seqs = [seq for _, seq in digest.entries] or [0]
-                    raise UnresolvedTypeId(
-                        digest.session, tunresolved, min(seqs), max(seqs),
-                        digest.session_start)
-                return digest
-            key = None                              # bypass, parse fresh
-    digest, needs, defines, tneeds, tdefines = _read_digest_body(
-        data, tables, type_tables)
-    if key is not None and digest is not None:
-        _digest_memo_misses.value += 1
-        _digest_memo[key] = (digest, needs, defines, tneeds, tdefines)
-        while len(_digest_memo) > _decode_memo_capacity:
-            _digest_memo.popitem(last=False)
-    return digest
-
-
-def _read_digest_body(
-        data: bytes, tables: Optional[Dict[str, Dict[int, str]]],
-        type_tables: Optional[Dict[str, Dict[int, bytes]]] = None
-) -> Tuple[Optional[FrameDigest], Optional[Dict[int, str]],
-           Optional[Dict[int, str]], Optional[Dict[int, bytes]],
-           Optional[Dict[int, bytes]]]:
-    cur = Cursor(unframe_view(data))
-    kind = _CODE_TO_KIND.get(cur.u8())
-    if kind is None:
-        raise CorruptFrame("unknown packet kind code")
-    flags = cur.u8()
-    if not flags & _P_DIGEST:
-        return None, None, None, None, None
-    session = _intern(cur.str_())
-    session_start = cur.f64()
-    last_seq = cur.varint()
-    if flags & _P_NACK_RANGE:
-        cur.varint()
-        cur.varint()
-    if flags & _P_ACK_LEDGER:
-        cur.str_()
-    if flags & _P_ACK_CONSUMER:
-        cur.str_()
-    compressed = bool(flags & _P_COMPRESSED)
-    defines: Optional[Dict[int, str]] = None
-    table: Dict[int, str] = {}
-    if compressed:
-        # apply the defs even if the digest resolves nothing below: the
-        # frame may be skipped, but its definitions must survive (later
-        # frames reference them without redefining)
-        if tables is not None:
-            table = tables.setdefault(session, {})
-        defines = {}
-        for _ in range(cur.varint()):
-            idx = cur.varint()
-            text = _intern(cur.str_())
-            defines[idx] = text
-            table[idx] = text
-    typed = bool(flags & _P_TYPED)
-    tneeds: Optional[Dict[int, bytes]] = None
-    tdefines: Optional[Dict[int, bytes]] = None
-    ttable: Dict[int, bytes] = {}
-    treferenced: List[int] = []
-    tmissing: Set[int] = set()
-    if typed:
-        ttable, tdefines, treferenced, tmissing = _read_typedefs(
-            cur, session, type_tables)
-    referenced: Set[int] = set()
-    missing: Set[int] = set()
-    entries: List[Tuple[str, int]] = []
-    subjects: List[str] = []
-    seen: Set[str] = set()
-    needs_full = False
-    for _ in range(cur.varint()):
-        dflags = cur.u8()
-        if dflags & ~(_D_LEDGER | _D_SESSION):
-            raise CorruptFrame(f"unknown digest flags {dflags:#x}")
-        if compressed:
-            subject = _resolve_ref(cur.varint(), table, referenced, missing)
-        else:
-            subject = _intern(cur.str_())
-        seq = cur.varint()
-        env_session = session
-        if dflags & _D_SESSION:
-            if compressed:
-                env_session = _resolve_ref(cur.varint(), table, referenced,
-                                           missing)
-            else:
-                env_session = _intern(cur.str_())
-        if dflags & _D_LEDGER or seq == 0:
-            needs_full = True
-        entries.append((env_session, seq))
-        if subject not in seen:
-            seen.add(subject)
-            subjects.append(subject)
-    # deliberately no exhaustion check: the envelope bodies follow,
-    # unread — that is the whole point
-    if missing:
-        seqs = [seq for _, seq in entries]
-        raise UnresolvedStringId(session, missing, min(seqs), max(seqs),
-                                 session_start)
-    if tmissing:
-        seqs = [seq for _, seq in entries] or [0]
-        raise UnresolvedTypeId(session, tmissing, min(seqs), max(seqs),
-                               session_start)
-    needs = None
-    if compressed:
-        needs = {idx: table[idx] for idx in referenced
-                 if idx not in defines}
-    if typed:
-        tneeds = {tid: ttable[tid] for tid in treferenced
-                  if tid not in tdefines}
-    return (FrameDigest(kind, session, session_start, last_seq,
-                        tuple(subjects), entries, needs_full),
-            needs, defines, tneeds, tdefines)
 
 
 def packet_wire_size(packet: Packet) -> int:

@@ -208,10 +208,10 @@ def test_explicit_inline_types_bypasses_the_plane():
     assert got[0] == got[1]                # both self-contained, same size
 
 
-def test_gated_daemon_still_learns_typedefs():
-    """An uninterested daemon skips frame bodies via the interest gate
-    but must still accumulate typedefs — a mid-stream subscribe decodes
-    from the very next frame without repair."""
+def test_uninterested_daemon_still_learns_typedefs():
+    """A daemon with no matching subscription still accumulates
+    typedefs — a mid-stream subscribe decodes from the very next frame
+    without repair."""
     bus = make_bus(seed=8, hosts=2, advertise_subscriptions=False)
     reg = story_registry()
     client = bus.client("node01", "mon")
@@ -225,11 +225,10 @@ def test_gated_daemon_still_learns_typedefs():
                      lambda s, o, i: late_box.append(o.get("n")))
     bus.run_for(30.0)
     daemon = bus.daemons["node01"]
-    assert daemon.skipped_frames > 0               # the prefix was gated
     assert late_box and late_box[0] > 0
     assert late_box == list(range(late_box[0], 30))
     assert client.decode_errors == 0
-    # the typedefs arrived on skipped frames, before the subscribe
+    # the typedefs arrived on frames heard before the subscribe
     assert daemon.wire_stats()["typedef_peer_types"] == 3
     session = bus.daemons["node00"].session
     assert daemon.reliable_stats(session).nacks_sent == 0

@@ -8,8 +8,8 @@ cache — its bytes hash differently — and the CRC still rejects it.
 
 import pytest
 
-from repro.core import (CorruptFrame, Envelope, Packet, PacketKind,
-                        decode_packet, encode_packet)
+from repro.core import (CorruptFrame, Envelope, EnvelopeView, Packet,
+                        PacketKind, decode_packet, encode_packet)
 from repro.core import wire
 
 
@@ -20,10 +20,14 @@ def reset_memo():
     wire.configure_decode_memo()
 
 
+def make_envelope(seq=1, subject="news.equity.gmc"):
+    return Envelope(subject=subject, sender="node00.pub",
+                    session="node00#0", seq=seq, payload=b"payload",
+                    publish_time=0.5)
+
+
 def make_frame(seq=1, subject="news.equity.gmc"):
-    envelope = Envelope(subject=subject, sender="node00.pub",
-                        session="node00#0", seq=seq, payload=b"payload",
-                        publish_time=0.5)
+    envelope = make_envelope(seq, subject)
     return encode_packet(Packet(PacketKind.DATA, "node00#0", [envelope],
                                 session_start=0.0))
 
@@ -99,3 +103,24 @@ def test_configure_zero_disables():
 def test_configure_rejects_negative_capacity():
     with pytest.raises(ValueError):
         wire.configure_decode_memo(-1)
+
+
+def test_decoded_envelopes_are_lazy_views():
+    envelope = decode_packet(make_frame()).envelopes[0]
+    assert isinstance(envelope, EnvelopeView)
+    assert not envelope.hydrated
+    metrics = wire.wire_metrics()
+    assert metrics.counter("wire.lazy.views").value == 1
+    assert metrics.counter("wire.lazy.hydrations").value == 0
+    assert envelope.payload == b"payload"       # hydrates exactly once
+    assert envelope.hydrated
+    assert envelope.payload == b"payload"
+    assert metrics.counter("wire.lazy.hydrations").value == 1
+
+
+def test_envelope_view_equals_eager_envelope():
+    view = decode_packet(make_frame(seq=3)).envelopes[0]
+    eager = make_envelope(seq=3)
+    assert view == eager
+    assert eager == view              # reflected comparison too
+    assert view != make_envelope(seq=4)

@@ -157,3 +157,35 @@ def test_garbage_is_rejected():
     for junk in (b"", b"IB", b"not a frame at all", b"\x00" * 64):
         with pytest.raises(CorruptFrame):
             decode_packet(junk)
+
+
+def _flag_test_frames():
+    envelope = Envelope(subject="flag.probe", sender="x", session="h#0",
+                        seq=1, payload=b"payload")
+    heartbeat = encode_packet(Packet(PacketKind.HEARTBEAT, "h#0",
+                                     last_seq=9))
+    data = encode_packet(Packet(PacketKind.DATA, "h#0", [envelope]))
+    return {"heartbeat": heartbeat, "data": data}
+
+
+@pytest.mark.parametrize("kind", ["heartbeat", "data"])
+@pytest.mark.parametrize("bit", [0x10, 0x40, 0x80])
+def test_undefined_packet_flag_bits_are_corrupt(kind, bit):
+    """A CRC-valid frame with a packet flag bit the format does not
+    define (0x10 is the retired digest bit) is rejected, not decoded."""
+    body = bytearray(unframe(_flag_test_frames()[kind]))
+    decode_packet(frame(bytes(body)))           # the untouched frame is fine
+    body[1] |= bit
+    with pytest.raises(CorruptFrame):
+        decode_packet(frame(bytes(body)))
+
+
+@pytest.mark.parametrize("bit", [0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80])
+def test_undefined_envelope_flag_bits_are_corrupt(bit):
+    body = bytearray(unframe(_flag_test_frames()["data"]))
+    # plain encoding: the envelope's flag byte precedes its subject
+    at = body.index(bytes([len("flag.probe")]) + b"flag.probe") - 1
+    assert body[at] == 0
+    body[at] |= bit
+    with pytest.raises(CorruptFrame):
+        decode_packet(frame(bytes(body)))
