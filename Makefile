@@ -17,7 +17,7 @@ pytest-bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 lint:
-	ruff check src tests benchmarks tools
+	ruff check .
 	$(PYTHON) tools/check_stats_surfaces.py
 
 examples:

@@ -40,12 +40,12 @@ cost shape) and enabled (the defaults).  Both numbers land in
 trajectory; future PRs append comparable runs rather than regress
 silently.
 
-Before timing anything the harness proves cache honesty twice over: a
-fixed-seed scenario with bit-flip corruption and a mid-stream
-subscribe/unsubscribe must produce *identical* per-consumer delivery
-sequences, trace output, and corruption counters (a) with caches on and
-off, (b) with wire compression on and off, (c) with the type plane on
-and off, and (d) at 4 subject shards and 1.
+Before timing anything the harness runs every row of
+:mod:`repro.bench.differential`: one fixed-seed hostile scenario
+(corruption, retransmission, guaranteed traffic, a late subscriber that
+joins and leaves) under two configs per row — caches, compression, the
+type plane, all of them, and shard planes — must produce identical
+deliveries, traces and counters.  The tier-1 suite runs the same rows.
 
 Run from the repo root::
 
@@ -67,15 +67,15 @@ SRC = ROOT / "src"
 if str(SRC) not in sys.path:                       # repo-relative fallback
     sys.path.insert(0, str(SRC))
 
-from repro.core import (BusConfig, InformationBus, QoS,  # noqa: E402
+from repro.bench.differential import (ROWS, SHARD_FIRSTS,  # noqa: E402
+                                      check_row, make_tick, typed_registry)
+from repro.core import (BusConfig, InformationBus,  # noqa: E402
                         StringTable, SubjectTrie, TypeTable,
                         decode_packet, encode_packet)
 from repro.core import wire                                      # noqa: E402
 from repro.core.message import Envelope, Packet, PacketKind      # noqa: E402
-from repro.objects import (AttributeSpec, DataObject,            # noqa: E402
-                           TypeDescriptor, encode, encode_typed,
-                           standard_registry)
-from repro.sim import CostModel, Tracer                          # noqa: E402
+from repro.objects import encode, encode_typed                   # noqa: E402
+from repro.sim import CostModel                                  # noqa: E402
 
 CONSUMERS = 8
 SUBJECT_CYCLE = [f"feed.equity.s{i}" for i in range(8)]
@@ -342,132 +342,8 @@ def bench_wire_bytes(messages: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# compression honesty: same seed, wire compression on/off, identical
-# observable behaviour
+# the session type plane: payload bytes
 # ----------------------------------------------------------------------
-
-def _pivot_once(messages: int, seed: int = 42, **flags) -> dict:
-    """The check_determinism scenario, pivoted on one ``BusConfig`` flag:
-    corruption faults plus a mid-stream subscribe and unsubscribe, after
-    a clean warm-up that publishes every subject once so the table
-    definitions reach every daemon before faults start (the unresolvable
-    path is covered by the integration tests; here both modes must walk
-    the exact same event timeline)."""
-    wire.configure_decode_memo()           # defaults in both modes
-    tracer = Tracer(enabled=True)
-    cost = CostModel.ideal()
-    # frame sizes differ between the modes; exact-zero wire time keeps
-    # the event timeline identical regardless of encoding length
-    cost.bandwidth_bytes_per_sec = float("inf")
-    bus = InformationBus(seed=seed, cost=cost, tracer=tracer,
-                         config=BusConfig(advertise_subscriptions=False,
-                                          **flags))
-    bus.add_hosts(5)
-    inboxes: dict = {}
-    for i in range(1, 4):
-        address = f"node{i:02d}"
-        box: list = []
-        inboxes[address] = box
-        bus.client(address, "mon").subscribe(
-            "feed.>", lambda s, p, info, box=box: box.append((s, p["n"])))
-
-    late = bus.client("node04", "late")
-    late_box: list = []
-    inboxes["node04"] = late_box
-    state: dict = {}
-
-    def join():
-        state["sub"] = late.subscribe(
-            "feed.>", lambda s, p, info: late_box.append((s, p["n"])))
-
-    def leave():
-        late.unsubscribe(state["sub"])
-
-    publisher = bus.client("node00", "pub")
-    for n, subject in enumerate(SUBJECT_CYCLE):     # clean warm-up
-        bus.sim.schedule(0.01 + n * 0.01, publisher.publish,
-                         subject, {"n": n})
-
-    def arm_fault():
-        bus.lan.corrupt_rate = 0.12
-
-    bus.sim.schedule(0.3, arm_fault)
-    bus.sim.schedule(0.8, join)
-    bus.sim.schedule(1.8, leave)
-
-    interval = 2.5 / messages
-    for n in range(messages):
-        bus.sim.schedule(0.4 + n * interval, publisher.publish,
-                         SUBJECT_CYCLE[n & 7], {"n": n + len(SUBJECT_CYCLE)})
-    bus.run_for(30.0)
-    return {
-        "inboxes": inboxes,
-        "trace": [(r.time, r.category, r.fields) for r in tracer.records],
-        "corrupt_dropped": sum(d.corrupt_dropped
-                               for d in bus.daemons.values()),
-        "unresolved_dropped": sum(d.unresolved_dropped
-                                  for d in bus.daemons.values()),
-        "frames_corrupted": bus.lan.frames_corrupted,
-        "bytes": bus.lan.bytes_transmitted,
-    }
-
-
-def check_compression_honesty(messages: int) -> dict:
-    plain = _pivot_once(messages, wire_compression=False)
-    compressed = _pivot_once(messages, wire_compression=True)
-    problems = []
-    if plain["inboxes"] != compressed["inboxes"]:
-        problems.append("delivery sequences differ")
-    if plain["trace"] != compressed["trace"]:
-        problems.append("trace records differ")
-    for key in ("corrupt_dropped", "frames_corrupted"):
-        if plain[key] != compressed[key]:
-            problems.append(f"{key} differs "
-                            f"({plain[key]} != {compressed[key]})")
-    if plain["frames_corrupted"] == 0:
-        problems.append("corruption fault was not exercised")
-    if compressed["corrupt_dropped"] == 0:
-        problems.append("no corrupted frame was CRC-rejected")
-    if compressed["unresolved_dropped"] != 0:
-        problems.append("warm-up leaked an unresolvable id "
-                        "(timeline would diverge)")
-    if compressed["bytes"] >= plain["bytes"]:
-        problems.append("compression did not reduce bytes "
-                        f"({compressed['bytes']} >= {plain['bytes']})")
-    total = sum(len(box) for box in compressed["inboxes"].values())
-    return {
-        "ok": not problems,
-        "problems": problems,
-        "messages": messages,
-        "deliveries": total,
-        "trace_records": len(compressed["trace"]),
-        "frames_corrupted": compressed["frames_corrupted"],
-        "corrupt_dropped": compressed["corrupt_dropped"],
-        "bytes_plain": plain["bytes"],
-        "bytes_compressed": compressed["bytes"],
-    }
-
-
-# ----------------------------------------------------------------------
-# the session type plane: payload bytes and same-seed honesty
-# ----------------------------------------------------------------------
-
-def _typed_registry():
-    reg = standard_registry()
-    reg.register(TypeDescriptor(
-        "tick_source", attributes=[AttributeSpec("name", "string")]))
-    reg.register(TypeDescriptor(
-        "tick", attributes=[
-            AttributeSpec("n", "int"),
-            AttributeSpec("venue", "string", required=False),
-            AttributeSpec("source", "tick_source", required=False)]))
-    return reg
-
-
-def _make_tick(reg, n: int) -> DataObject:
-    return DataObject(reg, "tick", n=n, venue="NYSE",
-                      source=DataObject(reg, "tick_source", name="feedco"))
-
 
 def bench_typed_payload_bytes(messages: int) -> dict:
     """Per-message payload bytes, inline metadata vs the type plane.
@@ -476,10 +352,10 @@ def bench_typed_payload_bytes(messages: int) -> dict:
     every message after the first of a session stops carrying.  The
     end-to-end run repeats the comparison on total wire bytes with
     ``BusConfig.type_plane`` flipped (both runs deliver identically;
-    ``check_typed_honesty`` proves that separately).
+    the ``type_plane`` differential row proves that separately).
     """
-    reg = _typed_registry()
-    obj = _make_tick(reg, 1)
+    reg = typed_registry()
+    obj = make_tick(reg, 1)
     table = TypeTable()
     typed_payload, _ = encode_typed(obj, reg, table)
     inline_payload = encode(obj, reg, inline_types=True)
@@ -504,9 +380,9 @@ def bench_typed_payload_bytes(messages: int) -> dict:
             bus.client(f"node{i:02d}", "mon").subscribe(
                 "market.>", on_message)
         publisher = bus.client("node00", "pub",
-                               registry=_typed_registry())
+                               registry=typed_registry())
         for n in range(messages):
-            publisher.publish(WIRE_SUBJECT, _make_tick(reg, n))
+            publisher.publish(WIRE_SUBJECT, make_tick(reg, n))
         bus.settle(5.0)
         assert counts[0] == messages * 3, (
             f"typed bench lost messages: {counts[0]} != {messages * 3}")
@@ -518,156 +394,17 @@ def bench_typed_payload_bytes(messages: int) -> dict:
     return result
 
 
-def _typed_pivot_once(messages: int, seed: int = 42, **flags) -> dict:
-    """The honesty scenario once more, publishing *DataObjects* and
-    pivoted on ``BusConfig.type_plane``: corruption faults plus a
-    mid-stream subscribe and unsubscribe, after a clean warm-up that
-    publishes every subject once so string tables AND typedefs reach
-    every daemon before faults arm.  Payload bytes legitimately differ
-    between the modes, so trace fields named ``size`` are masked out of
-    the returned trace, and the MTU is raised so neither mode's repair
-    frames fragment (fragment boundaries follow payload size — the very
-    thing being optimised); everything else must be bit-identical."""
-    wire.configure_decode_memo()
-    tracer = Tracer(enabled=True)
-    cost = CostModel.ideal()
-    cost.bandwidth_bytes_per_sec = float("inf")
-    cost.mtu = 1 << 20
-    bus = InformationBus(seed=seed, cost=cost, tracer=tracer,
-                         config=BusConfig(advertise_subscriptions=False,
-                                          **flags))
-    bus.add_hosts(5)
-    reg = _typed_registry()
-    inboxes: dict = {}
-    for i in range(1, 4):
-        address = f"node{i:02d}"
-        box: list = []
-        inboxes[address] = box
-        bus.client(address, "mon").subscribe(
-            "feed.>",
-            lambda s, o, info, box=box: box.append((s, o.get("n"))))
-
-    late = bus.client("node04", "late")
-    late_box: list = []
-    inboxes["node04"] = late_box
-    state: dict = {}
-
-    def join():
-        state["sub"] = late.subscribe(
-            "feed.>", lambda s, o, info: late_box.append((s, o.get("n"))))
-
-    def leave():
-        late.unsubscribe(state["sub"])
-
-    publisher = bus.client("node00", "pub", registry=_typed_registry())
-    for n, subject in enumerate(SUBJECT_CYCLE):     # clean warm-up
-        bus.sim.schedule(0.01 + n * 0.01, publisher.publish,
-                         subject, _make_tick(reg, n))
-
-    def arm_fault():
-        bus.lan.corrupt_rate = 0.12
-
-    bus.sim.schedule(0.3, arm_fault)
-    bus.sim.schedule(0.8, join)
-    bus.sim.schedule(1.8, leave)
-
-    interval = 2.5 / messages
-    for n in range(messages):
-        bus.sim.schedule(0.4 + n * interval, publisher.publish,
-                         SUBJECT_CYCLE[n & 7],
-                         _make_tick(reg, n + len(SUBJECT_CYCLE)))
-    bus.run_for(30.0)
-    session = bus.daemons["node00"].session
-    decode_errors = sum(c.decode_errors
-                        for d in bus.daemons.values()
-                        for c in d.clients.values())
-    return {
-        "inboxes": inboxes,
-        "trace": [(r.time, r.category,
-                   {k: v for k, v in r.fields.items() if k != "size"})
-                  for r in tracer.records],
-        "retransmits": sum(1 for r in tracer.records
-                           if r.category == "retransmit"),
-        "corrupt_dropped": sum(d.corrupt_dropped
-                               for d in bus.daemons.values()),
-        "unresolved_dropped": sum(d.unresolved_dropped
-                                  for d in bus.daemons.values()),
-        "typedef_unresolved": sum(d.typedef_unresolved_dropped
-                                  for d in bus.daemons.values()),
-        "decode_errors": decode_errors,
-        "frames_corrupted": bus.lan.frames_corrupted,
-        "bytes": bus.lan.bytes_transmitted,
-        "recv_stats": {
-            address: (stats.delivered, stats.duplicates, stats.nacks_sent)
-            for address in sorted(bus.daemons)
-            if address != "node00"
-            for stats in [bus.daemons[address].reliable_stats(session)]
-        },
-    }
-
-
-def check_typed_honesty(messages: int) -> dict:
-    """Same seed, ``type_plane`` on vs off: deliveries, traces (sizes
-    masked) and every counter must match under corruption faults,
-    retransmission and a mid-stream (late-joining) subscriber — while
-    the plane run moves fewer bytes."""
-    plane = _typed_pivot_once(messages, type_plane=True)
-    flat = _typed_pivot_once(messages, type_plane=False)
-    problems = []
-    if plane["inboxes"] != flat["inboxes"]:
-        problems.append("delivery sequences differ")
-    if plane["trace"] != flat["trace"]:
-        problems.append("trace records differ")
-    for key in ("corrupt_dropped", "frames_corrupted", "recv_stats",
-                "retransmits"):
-        if plane[key] != flat[key]:
-            problems.append(f"{key} differs "
-                            f"({plane[key]} != {flat[key]})")
-    if plane["frames_corrupted"] == 0:
-        problems.append("corruption fault was not exercised")
-    if plane["retransmits"] == 0:
-        problems.append("no retransmission was exercised")
-    if not plane["inboxes"]["node04"]:
-        problems.append("late-joining subscriber heard nothing")
-    for label, run in (("plane", plane), ("flat", flat)):
-        if run["unresolved_dropped"] or run["typedef_unresolved"]:
-            problems.append(f"{label} run leaked an unresolvable id "
-                            "(timeline would diverge)")
-        if run["decode_errors"]:
-            problems.append(f"{label} run hit payload decode errors")
-    if plane["bytes"] >= flat["bytes"]:
-        problems.append("type plane did not reduce bytes "
-                        f"({plane['bytes']} >= {flat['bytes']})")
-    total = sum(len(box) for box in plane["inboxes"].values())
-    return {
-        "ok": not problems,
-        "problems": problems,
-        "messages": messages,
-        "deliveries": total,
-        "midstream_subscriber_deliveries": len(plane["inboxes"]["node04"]),
-        "trace_records": len(plane["trace"]),
-        "frames_corrupted": plane["frames_corrupted"],
-        "corrupt_dropped": plane["corrupt_dropped"],
-        "retransmits": plane["retransmits"],
-        "bytes_plane": plane["bytes"],
-        "bytes_flat": flat["bytes"],
-    }
-
-
 # ----------------------------------------------------------------------
-# subject-space sharding: simulated-time scaling and same-seed honesty
+# subject-space sharding: simulated-time scaling
 # ----------------------------------------------------------------------
-
-#: first elements whose crc32 lands on shards 0..3 at four planes — the
-#: round-robin burst spreads evenly, every plane carries traffic
-SHARD_FIRSTS = ("news", "feed0", "alpha", "beta")
-
 
 def _shard_fanout_once(messages: int, shards: int, seed: int = 2026) -> dict:
     """One subject-spread burst under the paper-calibrated cost model,
     measured in *simulated* seconds from first publish to last delivery.
     Jitter and loss are zeroed so the drain time is pure pipeline shape:
-    one CPU lane per shard plane against one shared wire."""
+    one CPU lane per shard plane against one shared wire.  The
+    round-robin over ``SHARD_FIRSTS`` spreads the burst evenly: every
+    plane carries traffic."""
     wire.configure_decode_memo()
     cost = CostModel(cpu_jitter=0.0, loss_probability=0.0)
     bus = InformationBus(seed=seed, cost=cost,
@@ -720,204 +457,6 @@ def bench_shard_scaling(messages: int) -> dict:
     return result
 
 
-SHARD_SUBJECTS = [f"{SHARD_FIRSTS[i & 3]}.s{i & 7}" for i in range(8)]
-
-
-def _shard_pivot_once(messages: int, shards: int, seed: int = 42) -> dict:
-    """The honesty scenario pivoted on ``subject_shards``: literal,
-    wildcard and durable subscribers, a mid-stream subscribe and
-    unsubscribe, and periodic guaranteed publishes, under a zero-CPU
-    infinite-bandwidth cost model.  Zero CPU keeps event *times*
-    identical whether sends serialize on one lane or four; per-plane
-    sequence counters legitimately renumber, so ``seq`` is masked from
-    the trace alongside ``size`` (session strings differ by plane)."""
-    wire.configure_decode_memo()
-    tracer = Tracer(enabled=True)
-    cost = CostModel(bandwidth_bytes_per_sec=float("inf"),
-                     cpu_send_per_packet=0.0, cpu_send_per_byte=0.0,
-                     cpu_recv_per_packet=0.0, cpu_recv_per_byte=0.0,
-                     cpu_jitter=0.0, loss_probability=0.0)
-    bus = InformationBus(seed=seed, cost=cost, tracer=tracer,
-                         config=BusConfig(subject_shards=shards,
-                                          advertise_subscriptions=False))
-    bus.add_hosts(5)
-    inboxes: dict = {}
-
-    def collect(address):
-        box = inboxes.setdefault(address, {})
-        return lambda s, p, info: box.setdefault(s, []).append(p["n"])
-
-    lit = bus.client("node01", "lit")
-    lit.subscribe("news.>", collect("node01"))        # one plane
-    lit.subscribe("alpha.>", collect("node01"))       # another plane
-    bus.client("node02", "wild").subscribe(">", collect("node02"))
-    bus.client("node03", "db").subscribe("feed0.>", collect("node03"),
-                                         durable=True)
-    late = bus.client("node04", "late")
-    state: dict = {}
-
-    def join():
-        state["sub"] = late.subscribe(">", collect("node04"))
-
-    def leave():
-        late.unsubscribe(state["sub"])
-
-    bus.sim.schedule(0.8, join)
-    bus.sim.schedule(1.8, leave)
-
-    publisher = bus.client("node00", "pub")
-    interval = 2.5 / messages
-    for n in range(messages):
-        # every 8th message rides the guaranteed path, on the plane the
-        # durable consumer covers (feed0 -> acks must drain the ledger)
-        qos = QoS.GUARANTEED if n & 7 == 1 else QoS.RELIABLE
-        bus.sim.schedule(0.01 + n * interval, publisher.publish,
-                         SHARD_SUBJECTS[n & 7], {"n": n}, qos)
-    bus.run_for(30.0)
-    facade = bus.daemon("node00")
-    return {
-        "inboxes": inboxes,
-        "trace": [(r.time, r.category,
-                   {k: v for k, v in r.fields.items()
-                    if k not in ("seq", "size")})
-                  for r in tracer.records],
-        "published": sum(d.published for d in bus.daemons.values()),
-        "delivered": sum(d.delivered for d in bus.daemons.values()),
-        "acks_sent": sum(d.acks_sent for d in bus.daemons.values()),
-        "corrupt_dropped": sum(d.corrupt_dropped
-                               for d in bus.daemons.values()),
-        "pending": len(facade.guaranteed_pending()),
-        "retransmissions": facade.sender_retransmissions(),
-    }
-
-
-def check_sharding_honesty(messages: int) -> dict:
-    """Same seed, ``subject_shards=4`` vs ``1``: per-subject delivery
-    sequences, daemon counters, and the seq/size-masked trace must be
-    bit-identical — sharding relocates work, it must not reorder,
-    drop, or duplicate anything."""
-    sharded = _shard_pivot_once(messages, shards=4)
-    classic = _shard_pivot_once(messages, shards=1)
-    problems = []
-    if sharded["inboxes"] != classic["inboxes"]:
-        problems.append("per-subject delivery sequences differ")
-    if sharded["trace"] != classic["trace"]:
-        problems.append("trace records differ")
-    for key in ("published", "delivered", "acks_sent", "corrupt_dropped",
-                "pending", "retransmissions"):
-        if sharded[key] != classic[key]:
-            problems.append(f"{key} differs "
-                            f"({sharded[key]} != {classic[key]})")
-    if sharded["acks_sent"] == 0:
-        problems.append("guaranteed path was not exercised")
-    if sharded["pending"] != 0:
-        problems.append("guaranteed ledger did not drain "
-                        f"({sharded['pending']} pending)")
-    if not sharded["inboxes"].get("node04"):
-        problems.append("mid-stream subscriber heard nothing")
-    total = sum(len(ns) for box in sharded["inboxes"].values()
-                for ns in box.values())
-    return {
-        "ok": not problems,
-        "problems": problems,
-        "messages": messages,
-        "deliveries": total,
-        "trace_records": len(sharded["trace"]),
-        "acks_sent": sharded["acks_sent"],
-        "midstream_subscriber_subjects":
-            len(sharded["inboxes"].get("node04", {})),
-    }
-
-
-# ----------------------------------------------------------------------
-# cache honesty: same seed, caches on/off, identical observable behaviour
-# ----------------------------------------------------------------------
-
-def _determinism_once(caches: bool, messages: int, seed: int = 77) -> dict:
-    """A hostile fixed-seed scenario: corruption faults plus a mid-stream
-    subscribe and unsubscribe (the memo-invalidation edges)."""
-    config = _configure_caches(caches)
-    tracer = Tracer(enabled=True)
-    bus = InformationBus(seed=seed, cost=CostModel.ideal(), config=config,
-                         tracer=tracer)
-    bus.add_hosts(5)
-    bus.lan.corrupt_rate = 0.12
-    inboxes: dict = {}
-    for i in range(1, 4):
-        address = f"node{i:02d}"
-        box: list = []
-        inboxes[address] = box
-        bus.client(address, "mon").subscribe(
-            "feed.>", lambda s, p, info, box=box: box.append((s, p["n"])))
-
-    late = bus.client("node04", "late")
-    late_box: list = []
-    inboxes["node04"] = late_box
-    state: dict = {}
-
-    def join():       # subscribe mid-stream: must take effect immediately
-        state["sub"] = late.subscribe(
-            "feed.>", lambda s, p, info: late_box.append((s, p["n"])))
-
-    def leave():      # unsubscribe mid-stream: no stale memo deliveries
-        late.unsubscribe(state["sub"])
-
-    bus.sim.schedule(0.5, join)
-    bus.sim.schedule(1.5, leave)
-
-    publisher = bus.client("node00", "pub")
-    interval = 2.5 / messages
-
-    def publish(n: int) -> None:
-        publisher.publish(SUBJECT_CYCLE[n & 7], {"n": n})
-
-    for n in range(messages):
-        bus.sim.schedule(0.01 + n * interval, publish, n)
-    bus.run_for(30.0)
-
-    return {
-        "inboxes": inboxes,
-        "trace": [(r.time, r.category, r.fields) for r in tracer.records],
-        "corrupt_dropped": sum(d.corrupt_dropped
-                               for d in bus.daemons.values()),
-        "frames_corrupted": bus.lan.frames_corrupted,
-        "decode_memo": wire.decode_memo_stats(),
-    }
-
-
-def check_determinism(messages: int) -> dict:
-    plain = _determinism_once(caches=False, messages=messages)
-    cached = _determinism_once(caches=True, messages=messages)
-    problems = []
-    if plain["inboxes"] != cached["inboxes"]:
-        problems.append("delivery sequences differ")
-    if plain["trace"] != cached["trace"]:
-        problems.append("trace records differ")
-    for key in ("corrupt_dropped", "frames_corrupted"):
-        if plain[key] != cached[key]:
-            problems.append(f"{key} differs "
-                            f"({plain[key]} != {cached[key]})")
-    if plain["frames_corrupted"] == 0:
-        problems.append("corruption fault was not exercised")
-    if cached["corrupt_dropped"] == 0:
-        problems.append("no corrupted frame was CRC-rejected under memo")
-    if cached["decode_memo"]["hits"] == 0:
-        problems.append("decode memo never hit")
-    late_deliveries = len(cached["inboxes"]["node04"])
-    total = sum(len(box) for box in cached["inboxes"].values())
-    return {
-        "ok": not problems,
-        "problems": problems,
-        "messages": messages,
-        "deliveries": total,
-        "midstream_subscriber_deliveries": late_deliveries,
-        "trace_records": len(cached["trace"]),
-        "frames_corrupted": cached["frames_corrupted"],
-        "corrupt_dropped": cached["corrupt_dropped"],
-        "decode_memo_hits": cached["decode_memo"]["hits"],
-    }
-
-
 # ----------------------------------------------------------------------
 
 def main(argv=None) -> int:
@@ -956,61 +495,26 @@ def main(argv=None) -> int:
     if args.quick:
         fanout_msgs, repeats = 600, 2
         trie_iters, codec_iters = 60_000, 20_000
-        det_msgs = 80
+        row_msgs = 80
     else:
         fanout_msgs, repeats = 3000, 3
         trie_iters, codec_iters = 300_000, 80_000
-        det_msgs = 150
+        row_msgs = 150
 
-    print("determinism: fixed seed, caches on vs off ...")
-    determinism = check_determinism(det_msgs)
-    for problem in determinism["problems"]:
-        print(f"  FAIL: {problem}")
-    if not determinism["ok"]:
-        return 1
-    print(f"  ok — {determinism['deliveries']} deliveries, "
-          f"{determinism['trace_records']} trace records, "
-          f"{determinism['corrupt_dropped']} corrupt frames dropped, "
-          f"identical with caches on/off")
-
-    print("compression honesty: fixed seed, wire compression on vs off ...")
-    wire.configure_decode_memo()
-    compression = check_compression_honesty(det_msgs)
-    for problem in compression["problems"]:
-        print(f"  FAIL: {problem}")
-    if not compression["ok"]:
-        return 1
-    print(f"  ok — {compression['deliveries']} deliveries, "
-          f"{compression['trace_records']} trace records, "
-          f"{compression['bytes_compressed']} vs "
-          f"{compression['bytes_plain']} bytes, "
-          f"identical with compression on/off")
-
-    print("typed honesty: fixed seed, type plane on vs off ...")
-    wire.configure_decode_memo()
-    typed_honesty = check_typed_honesty(det_msgs)
-    for problem in typed_honesty["problems"]:
-        print(f"  FAIL: {problem}")
-    if not typed_honesty["ok"]:
-        return 1
-    print(f"  ok — {typed_honesty['deliveries']} deliveries, "
-          f"{typed_honesty['trace_records']} trace records, "
-          f"{typed_honesty['retransmits']} retransmits, "
-          f"{typed_honesty['bytes_plane']} vs "
-          f"{typed_honesty['bytes_flat']} bytes, "
-          f"identical with the plane on/off")
-
-    print("sharding honesty: fixed seed, subject_shards 4 vs 1 ...")
-    wire.configure_decode_memo()
-    sharding_honesty = check_sharding_honesty(det_msgs)
-    for problem in sharding_honesty["problems"]:
-        print(f"  FAIL: {problem}")
-    if not sharding_honesty["ok"]:
-        return 1
-    print(f"  ok — {sharding_honesty['deliveries']} deliveries, "
-          f"{sharding_honesty['trace_records']} trace records, "
-          f"{sharding_honesty['acks_sent']} guaranteed acks, "
-          f"identical at 4 shards and 1")
+    differential = {}
+    for row in ROWS:
+        print(f"differential {row.name}: {dict(row.a)} vs {dict(row.b)}, "
+              f"{row_msgs} msgs ...")
+        result = differential[row.name] = check_row(row, row_msgs)
+        for problem in result["problems"]:
+            print(f"  FAIL: {problem}")
+        if not result["ok"]:
+            return 1
+        print(f"  ok — {result['deliveries']} deliveries, "
+              f"{result['trace_records']} trace records, "
+              f"{result['retransmissions']} retransmissions, "
+              f"{result['bytes'][0]} vs {result['bytes'][1]} bytes, "
+              f"identical outside {result['masks'] or 'nothing'}")
 
     benches = {}
     print(f"fanout: 1 publisher -> {CONSUMERS} consumers, "
@@ -1036,16 +540,13 @@ def main(argv=None) -> int:
     wire.configure_decode_memo()   # leave the process at defaults
 
     report = {
-        "schema": 7,
+        "schema": 8,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "quick": args.quick,
         "benches": benches,
-        "determinism": determinism,
-        "compression_honesty": compression,
-        "typed_honesty": typed_honesty,
-        "sharding_honesty": sharding_honesty,
+        "differential": differential,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 

@@ -146,7 +146,8 @@ class BusConfig:
     seen_ledger_cap: int = 4096
     #: Concrete subjects the subscription trie memoizes (see
     #: :class:`~repro.core.subjects.SubjectTrie`).  0 disables the memo —
-    #: the escape hatch the perf harness uses to prove cache honesty.
+    #: the escape hatch the ``caches`` differential row uses to prove
+    #: cache honesty.
     #: None uses the trie's default.
     match_memo_capacity: Optional[int] = None
     #: Header-compress DATA/RETRANS frames with a per-session string

@@ -19,8 +19,8 @@ Wire header compression
 -----------------------
 
 Small payloads are dwarfed by their headers: ``subject``, ``sender``,
-``session``, ``ledger_id``, and ``via`` hops repeat on every envelope a
-session publishes.  A publishing daemon may therefore hold a
+``session`` and ``via`` hops repeat on every envelope a session
+publishes.  A publishing daemon may therefore hold a
 :class:`StringTable` that assigns dense varint ids to header strings in
 first-use order (HPACK-style; ids are never reassigned for the life of
 the session), and encode DATA/RETRANS frames with ids in place of
@@ -107,7 +107,7 @@ Frame body layout (all integers varint unless noted)::
                   publish_time:f64 envelope_id [ledger_id:str]
                   via_count via:str* payload:bytes
     envelope'  := flags:u8 subject_id sender_id session_id seq qos:u8
-                  publish_time:f64 envelope_id [ledger_id_id]
+                  publish_time:f64 envelope_id [ledger_id:str]
                   via_count via_id* payload:bytes     # iff flags COMPRESSED
 
 ``flags`` marks which optional fields follow (packet bits ``0x01`` =
@@ -397,9 +397,8 @@ def encode_envelope_compressed(
     out.write(bytes((_QOS_TO_CODE[envelope.qos],)))
     write_f64(out, envelope.publish_time)
     write_varint(out, envelope.envelope_id)
-    if envelope.ledger_id is not None:
-        write_varint(out,
-                     _table_ref(table, envelope.ledger_id, own_defs, refs))
+    if envelope.ledger_id is not None:     # unique per message: inline
+        write_str(out, envelope.ledger_id)
     write_varint(out, len(envelope.via))
     for hop in envelope.via:
         write_varint(out, _table_ref(table, hop, own_defs, refs))
@@ -830,10 +829,7 @@ def _read_envelope(cur: Cursor, compressed: bool, table: Dict[int, str],
     envelope_id = cur.varint()
     ledger_id = None
     if flags & _E_LEDGER:
-        if compressed:
-            ledger_id = _resolve_ref(cur.varint(), table, referenced, missing)
-        else:
-            ledger_id = _intern(cur.str_())
+        ledger_id = _intern(cur.str_())
     via_count = cur.varint()
     via = []
     for _ in range(via_count):

@@ -22,7 +22,7 @@ STAT = "_bus.stat.>"
 def zero_cost():
     """Exact-zero send/recv cost and infinite wire: extra stat frames
     take literally no simulated time, so the data-plane event timeline
-    cannot shift (the ``_compression_once`` precedent in run_perf.py)."""
+    cannot shift (the same trick as :mod:`repro.bench.differential`)."""
     cost = CostModel.ideal()
     cost.bandwidth_bytes_per_sec = float("inf")
     cost.cpu_send_per_packet = 0.0

@@ -22,10 +22,12 @@ import random
 
 import pytest
 
-from repro.core import Envelope, Packet, PacketKind, QoS
+from repro.core import (BusConfig, Envelope, InformationBus, Packet,
+                        PacketKind, QoS)
 from repro.core import wire
 from repro.core.wire import (CorruptFrame, StringTable, UnresolvedStringId,
                              decode_packet, encode_packet)
+from repro.sim import CostModel
 from repro.sim.framing import flip_random_bit
 
 
@@ -266,3 +268,50 @@ class TestInterning:
         p1 = decode_packet(first, tables=tables)
         p2 = decode_packet(second, tables=tables)
         assert p1.envelopes[0].subject is p2.envelopes[0].subject
+
+
+class TestLedgerIdsRideInline:
+    """A guaranteed ``ledger_id`` is unique per message, so interning it
+    would grow every session table by one entry per publish and make a
+    ledger republish depend on the (possibly lost) frame that defined
+    it.  Ledger ids are written as plain strings in both encodings."""
+
+    @staticmethod
+    def guaranteed_frame(table, seq, ledger_id):
+        envelope = make_envelope(seq, qos=QoS.GUARANTEED, ledger_id=ledger_id)
+        return encode_packet(Packet(PacketKind.DATA, "node00#0", [envelope],
+                                    session_start=0.0), table)
+
+    def test_guaranteed_publishes_do_not_grow_the_table(self):
+        table = StringTable()
+        data_frame(table, [1])                    # warm-up header strings
+        warm = len(table)
+        for seq in range(2, 502):
+            self.guaranteed_frame(table, seq, f"node00/g/{seq}")
+        assert len(table) == warm
+
+    def test_republish_decodes_with_warm_up_strings_only(self):
+        table = StringTable()
+        tables = {}
+        decode_packet(data_frame(table, [1]), tables=tables)
+        self.guaranteed_frame(table, 2, "node00/g/2")        # lost frame
+        republish = self.guaranteed_frame(table, 3, "node00/g/2")
+        packet = decode_packet(republish, tables=tables)
+        assert packet.envelopes[0].ledger_id == "node00/g/2"
+
+    def test_bus_tables_hold_only_repeated_headers(self):
+        bus = InformationBus(seed=5, cost=CostModel.ideal(),
+                             config=BusConfig(advertise_subscriptions=False))
+        bus.add_hosts(2)
+        got = []
+        bus.client("node01", "db").subscribe(
+            "orders.>", lambda s, p, info: got.append(p), durable=True)
+        publisher = bus.client("node00", "pub")
+        for n in range(500):
+            publisher.publish("orders.fill", {"n": n}, QoS.GUARANTEED)
+        bus.run_for(5.0)
+        assert len(got) == 500
+        assert not bus.daemon("node00").guaranteed_pending()
+        # subject, sender and session: nothing per message
+        assert bus.daemon("node00").wire_stats()["table_strings"] == 3
+        assert bus.daemon("node01").wire_stats()["peer_strings"] == 3
