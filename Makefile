@@ -8,7 +8,7 @@ install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf/run_perf.py
@@ -21,10 +21,10 @@ lint:
 	$(PYTHON) tools/check_stats_surfaces.py
 
 examples:
-	$(PYTHON) -m repro all
+	PYTHONPATH=src $(PYTHON) -m repro all
 
 quicktest:
-	$(PYTHON) -m pytest tests/ -x -q --ignore=tests/properties \
+	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q --ignore=tests/properties \
 	    --ignore=tests/integration
 
 all: test bench

@@ -453,7 +453,6 @@ class BusDaemon:
 
     def _on_recover(self) -> None:
         self._start()
-        self._gcon.recover()
         # on a sharded host the facade re-attaches clients once, after
         # *every* plane has restarted — a single plane doing it here
         # would fan subscriptions into planes that are still down
@@ -617,10 +616,8 @@ class BusDaemon:
     def _republish_guaranteed(self, entry: LedgerEntry) -> None:
         if not self.up:
             return
-        envelope = Envelope(subject=entry.subject, sender=entry.sender,
-                            session=self.session, seq=0,
-                            payload=entry.payload, qos=QoS.GUARANTEED,
-                            ledger_id=entry.ledger_id,
+        envelope = Envelope(**entry.record, session=self.session, seq=0,
+                            qos=QoS.GUARANTEED, ledger_id=entry.ledger_id,
                             publish_time=self.sim.now)
         if self._outbound.offer(envelope, no_shed=True) \
                 is not Admission.ACCEPTED:
@@ -1075,7 +1072,7 @@ class BusDaemon:
         }]
 
     def guaranteed_pending(self) -> List[LedgerEntry]:
-        return self._gpub.pending()
+        return self._gpub.ledger.pending()
 
     def sender_retransmissions(self) -> int:
         return self._sender.retransmissions

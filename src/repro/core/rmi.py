@@ -116,15 +116,15 @@ class RmiServer:
         #: retried request is never re-executed even across a server
         #: restart — the substrate for exactly-once RMI.
         self.durable_replies = durable_replies
-        self._stable_key = f"rmi.replies.{service_subject}.{self.port}"
+        self._reply_log = f"rmi.replies.{service_subject}.{self.port}"
         self._load = load or (lambda: float(self.calls_served))
         self._streams = StreamManager(client.sim, client.host, self.port)
         self._streams.listen(self._on_accept)
-        #: request id -> encoded reply bytes (marshalled once, replayed
-        #: verbatim for duplicate requests)
-        self._reply_cache: Dict[str, bytes] = {}
-        if durable_replies:
-            self._reply_cache = client.host.stable.get(self._stable_key, {})
+        #: request id -> encoded reply bytes, marshalled once and replayed
+        #: verbatim for duplicate requests (rebuilt from the reply log,
+        #: which only durable_replies writes)
+        self._reply_cache: Dict[str, bytes] = dict(
+            client.host.stable.read_log(self._reply_log))
         self._group: Optional[ServerGroup] = None
         if exclusive:
             self._group = ServerGroup(client, service_subject, client.id,
@@ -160,8 +160,8 @@ class RmiServer:
                                       self.port)
         self._streams.listen(self._on_accept)
         if self.durable_replies:
-            self._reply_cache = self.client.host.stable.get(
-                self._stable_key, {})
+            self._reply_cache = dict(
+                self.client.host.stable.read_log(self._reply_log))
 
     @property
     def endpoint(self) -> Tuple[str, int]:
@@ -224,8 +224,8 @@ class RmiServer:
         if self.durable_replies:
             # logged before the reply leaves: a crash after execution
             # cannot cause re-execution on retry
-            self.client.host.stable.put(self._stable_key,
-                                        self._reply_cache)
+            self.client.host.stable.append(self._reply_log,
+                                           (request_id, encoded))
         self.calls_served += 1
         conn.send(encoded)
 

@@ -37,6 +37,7 @@ from .bus import InformationBus
 from .client import BusClient, Subscription
 from .daemon import ADVERT_SUBJECT, STAT_SUBJECT_PREFIX
 from .flow import Admission, BoundedQueue, POLICY_BLOCK
+from .guaranteed import GuaranteedConsumer, LedgerEntry, StableLedger
 from .message import MessageInfo, QoS
 from .metrics import Counter, MetricsPublisher, MetricsRegistry
 from .subjects import subject_matches
@@ -238,6 +239,11 @@ class RouterLeg:
         self._forwards_deferred = scope.counter("deferred")
         #: forwards shed by the WAN queue's drop policy or a down link
         self._forwards_shed = scope.counter("shed")
+        #: store-and-forward: the origin side's shipment ledger and the
+        #: target side's durable dedupe of shipment ids
+        self._sf_ledger = StableLedger(self.host.stable, "router.sf.ledger",
+                                       f"{self.name}/")
+        self._sf_seen = GuaranteedConsumer(self.host, log="router.sf.received")
         self._sf_timer = None
         self.host.on_recover(self._on_host_recover)
         self.client.subscribe(ADVERT_SUBJECT, self._on_advert)
@@ -372,10 +378,6 @@ class RouterLeg:
     # ------------------------------------------------------------------
     # store-and-forward (guaranteed QoS across the WAN)
     # ------------------------------------------------------------------
-    _SF_PENDING = "router.sf.pending"
-    _SF_SEEN = "router.sf.seen"
-    _SF_COUNTER = "router.sf.counter"
-
     def _sf_enqueue(self, subject: str, obj: Any, info: MessageInfo,
                     targets: Set[str]) -> None:
         """Stably log a guaranteed message, then ship with retry.
@@ -383,41 +385,35 @@ class RouterLeg:
         Runs inside the daemon's durable-delivery callback, so the ack
         the original publisher receives means "logged at the router".
         """
-        counter = self.host.stable.get(self._SF_COUNTER, 0) + 1
-        self.host.stable.put(self._SF_COUNTER, counter)
-        sf_id = f"{self.name}/{counter}"
         record = {
-            "sf_id": sf_id, "subject": subject,
+            "subject": subject,
             # self-contained on purpose: the record outlives this router
             # process (replayed after restart), beyond any session scope
             "wire": encode(obj, self.router.registry, inline_types=True),
-            "via": list(info.via), "pending": sorted(targets),
+            "via": list(info.via), "targets": sorted(targets),
         }
-        pending = self.host.stable.get(self._SF_PENDING, {})
-        pending[sf_id] = record
-        self.host.stable.put(self._SF_PENDING, pending)
+        sf_id = self._sf_ledger.add(record)
         self._messages_forwarded.value += len(targets)
-        self._sf_ship(record)
+        self._sf_ship(LedgerEntry(sf_id, record))
         self._sf_arm_timer()
 
-    def _sf_ship(self, record: Dict[str, Any]) -> None:
+    def _sf_ship(self, entry: LedgerEntry) -> None:
         # the shipped bytes carry everything the target needs; the
-        # "pending" target list is origin-side bookkeeping and stays home
-        data = encode({"sf_id": record["sf_id"],
-                       "subject": record["subject"],
+        # target list and its acks are origin-side bookkeeping
+        record = entry.record
+        data = encode({"sf_id": entry.ledger_id, "subject": record["subject"],
                        "wire": record["wire"], "via": record["via"]})
-        for leg_name in record["pending"]:
-            self.router._ship_sf(self, leg_name, data)
+        for leg_name in record["targets"]:
+            if leg_name not in entry.acks:
+                self.router._ship_sf(self, leg_name, data,
+                                     RouterLeg._sf_receive)
 
     def _sf_receive(self, origin_name: str, data: bytes) -> None:
         """Target side: dedupe durably, republish as guaranteed, ack."""
         if not self.client.daemon.up:
             return   # origin keeps retrying until we are back
         record = decode(data, self.router.registry)
-        seen = set(self.host.stable.get(self._SF_SEEN, []))
-        if record["sf_id"] not in seen:
-            seen.add(record["sf_id"])
-            self.host.stable.put(self._SF_SEEN, sorted(seen))
+        if self._sf_seen.first_delivery(record["sf_id"]):
             obj = decode(record["wire"], self.router.registry)
             out_subject = (self.transform(record["subject"])
                            if self.transform else record["subject"])
@@ -425,25 +421,21 @@ class RouterLeg:
             self.client.publish(
                 out_subject, obj, qos=QoS.GUARANTEED,
                 via=tuple(record["via"]) + (self.router.name,))
-        self.router._ship_sf_ack(self, origin_name, record["sf_id"])
+        self.router._ship_sf(
+            self, origin_name,
+            encode({"sf_id": record["sf_id"], "target": self.name}),
+            RouterLeg._sf_acked)
 
-    def _sf_acked(self, target_name: str, sf_id: str) -> None:
+    def _sf_acked(self, target_name: str, data: bytes) -> None:
         """Origin side: a target confirmed stable receipt."""
-        pending = self.host.stable.get(self._SF_PENDING, {})
-        record = pending.get(sf_id)
-        if record is None:
-            return
-        if target_name in record["pending"]:
-            record["pending"].remove(target_name)
-        if record["pending"]:
-            pending[sf_id] = record
-        else:
-            del pending[sf_id]
-        self.host.stable.put(self._SF_PENDING, pending)
+        sf_id = decode(data, self.router.registry)["sf_id"]
+        entry = self._sf_ledger.ack(sf_id, target_name)
+        if entry and set(entry.record["targets"]) <= set(entry.acks):
+            self._sf_ledger.retire(sf_id)
 
     def sf_pending(self) -> int:
         """Shipments not yet confirmed by every target (tests/benches)."""
-        return len(self.host.stable.get(self._SF_PENDING, {}))
+        return len(self._sf_ledger.pending())
 
     def _sf_arm_timer(self) -> None:
         if self._sf_timer is None or self._sf_timer.stopped:
@@ -454,16 +446,19 @@ class RouterLeg:
     def _sf_retry(self) -> None:
         if not self.client.daemon.up:
             return
-        pending = self.host.stable.get(self._SF_PENDING, {})
+        pending = self._sf_ledger.pending()
         if not pending:
             self._sf_timer.stop()
             return
-        for record in pending.values():
-            self._sf_ship(record)
+        for entry in pending:
+            self._sf_ship(entry)
 
     def _on_host_recover(self) -> None:
-        """Resume shipping anything the crash left in the pending log."""
-        if self.host.stable.get(self._SF_PENDING, {}):
+        """Replay the stable logs a restarted router process would read,
+        and resume shipping anything the crash left pending."""
+        self._sf_ledger.reload()
+        self._sf_seen = GuaranteedConsumer(self.host, log="router.sf.received")
+        if self._sf_ledger.pending():
             self._sf_arm_timer()
 
     def _interested_legs(self, subject: str) -> Set[str]:
@@ -611,26 +606,17 @@ class Router:
                               len(data),
                               lambda: target._wan_receive(data))
 
-    def _ship_sf(self, origin: RouterLeg, target_name: str,
-                 data: bytes) -> None:
+    def _ship_sf(self, origin: RouterLeg, target_name: str, data: bytes,
+                 arrive: Callable[[RouterLeg, str, bytes], None]) -> None:
+        """Ship a store-and-forward shipment or ack: ``arrive(target,
+        origin name, data)`` runs at the far end.  Guaranteed traffic:
+        deferred at a full queue (the sf retry timer re-ships), never
+        shed."""
         target = self.legs.get(target_name)
-        if target is None:
-            return
-        # guaranteed traffic: defer at a full queue (the sf retry timer
-        # re-ships), never shed
-        self.link.send(self._sim, origin.name, target_name, len(data),
-                       lambda: target._sf_receive(origin.name, data),
-                       no_shed=True)
-
-    def _ship_sf_ack(self, origin: RouterLeg, target_name: str,
-                     sf_id: str) -> None:
-        target = self.legs.get(target_name)
-        if target is None:
-            return
-        data = encode({"sf_id": sf_id, "target": origin.name})
-        self.link.send(self._sim, origin.name, target_name, len(data),
-                       lambda: target._sf_acked(origin.name, sf_id),
-                       no_shed=True)
+        if target is not None:
+            self.link.send(self._sim, origin.name, target_name, len(data),
+                           lambda: arrive(target, origin.name, data),
+                           no_shed=True)
 
     def _publish_stats(self, snapshot: Dict[str, Any]) -> None:
         """Publish the router's registry on every leg's segment.

@@ -110,8 +110,8 @@ class PeerTypeView:
 
     Wraps the ``{id: definition-bytes}`` map the wire layer accumulates
     (and keeps mutating) for a peer session, decoding definitions
-    lazily: a daemon that skips every frame of a feed via the interest
-    gate still learns the raw blobs, but never pays to parse them.
+    lazily: a definition is parsed only when a payload first references
+    it, never merely because its frame carried it.
     """
 
     def __init__(self, raw: Dict[int, bytes]) -> None:

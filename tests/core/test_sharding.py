@@ -17,6 +17,7 @@ from repro.core import (BusConfig, BusDaemon, InformationBus, Inquiry,
                         inquiry_subject)
 from repro.core.daemon import (DAEMON_PORT, SHARD_PORT_STRIDE, STAT_PORT,
                                shard_data_port, shard_stat_port)
+from repro.core.guaranteed import StableLedger
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            standard_registry)
 from repro.sim import CostModel, Simulator
@@ -255,11 +256,12 @@ def test_guaranteed_ledgers_are_namespaced_per_plane():
     shard_map = bus.daemon("node00").map
     assert shard_map.shard_of("gd.data") == 2
     assert shard_map.shard_of("news.data") == 0
-    # shard 0 uses the classic key, other planes suffix their namespace
-    assert len(stable.get("gd.ledger")) == 1
-    assert len(stable.get("gd.ledgers2")) == 1
-    assert stable.get("gd.ledgers2")[0]["ledger_id"].startswith(
-        "node00/s2.")
+    # shard 0 uses the classic log, other planes suffix their namespace
+    plane0 = StableLedger(stable, "gd.ledger", "node00/").pending()
+    plane2 = StableLedger(stable, "gd.ledgers2", "node00/s2.").pending()
+    assert len(plane0) == 1
+    assert len(plane2) == 1
+    assert plane2[0].ledger_id.startswith("node00/s2.")
     bus.settle(3.0)
     assert sorted(received) == [("gd.data", 1), ("news.data", 2)]
     assert bus.daemon("node00").guaranteed_pending() == []

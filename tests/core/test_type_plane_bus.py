@@ -13,6 +13,7 @@ The invariants mirror the string-table ones (PR 6), one layer up:
 """
 
 from repro.core import BusConfig, InformationBus, QoS
+from repro.core.guaranteed import StableLedger
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            decode, standard_registry)
 from repro.sim import CostModel
@@ -167,9 +168,11 @@ def test_guaranteed_payloads_stay_self_contained():
     bus.client("node01", "mon").subscribe(
         "gd.>", lambda s, o, i: received.append(o.get("n")), durable=True)
     pub.publish("gd.data", make_story(reg, 7), qos=QoS.GUARANTEED)
-    ledger = bus.host("node00").stable.get("gd.ledger")
+    ledger = StableLedger(bus.host("node00").stable, "gd.ledger",
+                          "node00/").pending()
     assert len(ledger) == 1
-    obj = decode(ledger[0]["payload"], standard_registry())   # no resolver
+    obj = decode(ledger[0].record["payload"],
+                 standard_registry())   # no resolver
     assert obj.get("n") == 7
     assert obj.get("source").get("name") == "Reuters"
     bus.settle(3.0)
