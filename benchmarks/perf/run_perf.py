@@ -70,7 +70,7 @@ if str(SRC) not in sys.path:                       # repo-relative fallback
 from repro.bench.differential import (ROWS, SHARD_FIRSTS,  # noqa: E402
                                       check_row, make_tick, typed_registry)
 from repro.core import (BusConfig, InformationBus,  # noqa: E402
-                        StringTable, SubjectTrie, TypeTable,
+                        SessionTable, SubjectTrie, TypeTable,
                         decode_packet, encode_packet)
 from repro.core import wire                                      # noqa: E402
 from repro.core.message import Envelope, Packet, PacketKind      # noqa: E402
@@ -261,7 +261,7 @@ def bench_codec(iterations: int, repeats: int) -> dict:
     # the same steady-state frame, header-compressed: a defining first
     # frame primes the receiver table, then the reference-only frame is
     # what every receiver decodes per broadcast in the common case
-    table = StringTable()
+    table = SessionTable()
     first = [Envelope(subject=SUBJECT_CYCLE[i & 7], sender="node00.pub",
                       session="node00#0", seq=i + 1, payload=b"x" * 64,
                       publish_time=0.25)

@@ -13,7 +13,7 @@ infinite bandwidth, a 1 MiB MTU, no jitter and no loss, so frame sizes
 and lane counts cannot shift the event timeline:
 
 * a clean warm-up publishes every subject once as a typed
-  :class:`~repro.objects.DataObject`, so string tables and typedefs
+  :class:`~repro.objects.DataObject`, so header strings and typedefs
   reach every daemon before any fault;
 * then, on rows with faults, 12% of frames are corrupted in flight;
 * literal, wildcard and durable subscribers whose subjects land on
@@ -154,8 +154,6 @@ def _run(messages: int, faults: bool,
         "acks_sent": sum(d.acks_sent for d in daemons),
         "corrupt_dropped": sum(d.corrupt_dropped for d in daemons),
         "unresolved_dropped": sum(d.unresolved_dropped for d in daemons),
-        "typedef_unresolved_dropped": sum(d.typedef_unresolved_dropped
-                                          for d in daemons),
         "decode_errors": sum(c.decode_errors for d in daemons
                              for c in d.clients.values()),
         "frames_corrupted": bus.lan.frames_corrupted,
@@ -252,7 +250,7 @@ def _liveness(row: Row, config: Mapping[str, Any],
         problems.append("late subscriber heard nothing")
     if run["decode_errors"]:
         problems.append("payload decode errors")
-    if run["unresolved_dropped"] or run["typedef_unresolved_dropped"]:
+    if run["unresolved_dropped"]:
         problems.append("unresolvable ids dropped frames")
     memo = config.get("decode_memo", wire.DEFAULT_DECODE_MEMO_CAPACITY)
     if memo and run["memo_hits"] == 0:

@@ -5,8 +5,7 @@ from .subjects import (BadSubjectError, SubjectTrie, is_admin_subject,
                        is_valid_pattern, is_valid_subject, split_subject,
                        subject_matches, validate_pattern, validate_subject)
 from .message import Envelope, MessageInfo, Packet, PacketKind, QoS
-from .wire import (CorruptFrame, EnvelopeView, StringTable,
-                   UnresolvedStringId, UnresolvedTypeId,
+from .wire import (CorruptFrame, EnvelopeView, SessionTable, UnresolvedIds,
                    decode_packet, encode_envelope, encode_packet,
                    envelope_wire_size, packet_wire_size)
 from .typeplane import PeerTypeView, TypeTable
@@ -49,9 +48,8 @@ __all__ = [
     "encode_packet", "envelope_wire_size", "packet_wire_size",
     "ReliableSender", "Responder", "RmiClient", "RmiError", "RmiServer",
     "PeerTypeView", "Router", "RouterLeg", "ServerGroup", "SessionStats",
-    "ShardMap", "ShardedDaemon",
-    "StringTable", "SubjectTrie", "Subscription", "TypeTable",
-    "UnresolvedStringId", "UnresolvedTypeId", "WanLink",
+    "SessionTable", "ShardMap", "ShardedDaemon",
+    "SubjectTrie", "Subscription", "TypeTable", "UnresolvedIds", "WanLink",
     "inquiry_subject", "is_admin_subject",
     "is_valid_pattern", "is_valid_subject", "split_subject",
     "subject_matches", "validate_pattern", "validate_subject",

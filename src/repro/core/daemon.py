@@ -48,8 +48,8 @@ from .metrics import MetricsPublisher, MetricsRegistry
 from .reliable import ReliableConfig, ReliableReceiver, ReliableSender
 from .subjects import SubjectTrie, validate_subject
 from .typeplane import PeerTypeView, TypeTable
-from .wire import (CorruptFrame, StringTable, UnresolvedIds,
-                   UnresolvedTypeId, decode_packet, encode_packet)
+from .wire import (CorruptFrame, SessionTable, UnresolvedIds, decode_packet,
+                   encode_packet)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .client import BusClient
@@ -128,8 +128,8 @@ class BusConfig:
     #: Session type plane: when on (and ``inline_types`` would apply),
     #: reliable publishes carry dense session type ids instead of the
     #: full inline metadata block, with typedef definitions riding
-    #: once per session on the wire frames (see
-    #: :mod:`repro.core.typeplane` and "The session type plane" in
+    #: once per session in the session dictionary (see
+    #: :mod:`repro.core.typeplane` and "Session dictionary" in
     #: docs/PROTOCOLS.md).  Guaranteed publishes stay self-contained —
     #: their ledgered payloads must outlive the session.  False keeps
     #: the per-message inline encoding — the ablation baseline the perf
@@ -150,8 +150,9 @@ class BusConfig:
     #: cache honesty.
     #: None uses the trie's default.
     match_memo_capacity: Optional[int] = None
-    #: Header-compress DATA/RETRANS frames with a per-session string
-    #: table (see "Wire header compression" in :mod:`repro.core.wire`).
+    #: Header-compress DATA/RETRANS frames: header strings go into the
+    #: session dictionary (see "The session dictionary" in
+    #: :mod:`repro.core.wire`).
     #: False keeps the plain encoding — the ablation baseline the perf
     #: harness compares against to prove behaviour is identical.
     wire_compression: bool = True
@@ -243,34 +244,22 @@ class BusDaemon:
         self._guaranteed_deferred = scope.counter("guaranteed_deferred")
         #: datagrams dropped because their frame failed wire validation
         self._corrupt_dropped = scope.counter("wire.corrupt_dropped")
-        #: CRC-valid compressed frames dropped because they referenced
-        #: string-table ids this daemon never learned (repaired via NACK)
+        #: CRC-valid frames dropped because they referenced dictionary
+        #: ids — header strings or typedefs — this daemon never learned
+        #: (repaired via NACK; the RETRANS re-defines every id it uses)
         self._unresolved_dropped = scope.counter("wire.unresolved_dropped")
-        #: CRC-valid typed frames dropped because they referenced
-        #: session type ids this daemon never learned (repaired via NACK;
-        #: the RETRANS re-defines every type it references)
-        self._typedef_unresolved = scope.counter(
-            "wire.typedef.unresolved_dropped")
         # lazily read wire/topology gauges (cost is paid at snapshot)
         scope.gauge("clients", source=lambda: len(self.clients))
         scope.gauge("subscriptions",
                     source=lambda: len(self._subscriptions))
-        scope.gauge("wire.table_strings",
-                    source=lambda: (len(self._wire_table)
-                                    if self._wire_table is not None else 0))
+        scope.gauge("wire.table_entries",
+                    source=lambda: (len(self._table)
+                                    if self._table is not None else 0))
         scope.gauge("wire.peer_sessions",
                     source=lambda: len(self._peer_tables))
-        scope.gauge("wire.peer_strings",
+        scope.gauge("wire.peer_entries",
                     source=lambda: sum(len(t)
                                        for t in self._peer_tables.values()))
-        scope.gauge("wire.typedef.table_types",
-                    source=lambda: (len(self._type_table)
-                                    if self._type_table is not None else 0))
-        scope.gauge("wire.typedef.peer_sessions",
-                    source=lambda: len(self._peer_type_tables))
-        scope.gauge("wire.typedef.peer_types",
-                    source=lambda: sum(
-                        len(t) for t in self._peer_type_tables.values()))
         if self.shard_count > 1:
             # the shard.* family only exists on sharded hosts, so
             # unsharded snapshots are byte-identical to the pre-shard era
@@ -308,10 +297,6 @@ class BusDaemon:
     def unresolved_dropped(self) -> int:
         return self._unresolved_dropped.value
 
-    @property
-    def typedef_unresolved_dropped(self) -> int:
-        return self._typedef_unresolved.value
-
     # Read by name in perfbench/workloads.py; every frame is decoded.
     @property
     def skipped_frames(self) -> int:
@@ -347,19 +332,17 @@ class BusDaemon:
         self._sender = ReliableSender(self.session, self.config.reliable,
                                       now=lambda: self.sim.now,
                                       metrics=self.metrics)
-        # wire-compression state is volatile by design: a restarted
+        # the session dictionary is volatile by design: a restarted
         # daemon has a fresh session name, so receivers key learned
-        # tables by session and can never mix incarnations
-        self._wire_table: Optional[StringTable] = (
-            StringTable() if self.config.wire_compression else None)
-        self._peer_tables: Dict[str, Dict[int, str]] = {}
-        # the session type plane is equally volatile: type ids are scoped
-        # to the session name, so a restart (fresh session) starts a
-        # fresh table and receivers never mix incarnations
+        # entries by session and can never mix incarnations
+        config = self.config
+        self._table: Optional[SessionTable] = (
+            SessionTable(headers=config.wire_compression)
+            if config.wire_compression or config.type_plane else None)
         self._type_table: Optional[TypeTable] = (
-            TypeTable() if self.config.type_plane else None)
-        self._peer_type_tables: Dict[str, Dict[int, bytes]] = {}
-        self._peer_type_views: Dict[str, PeerTypeView] = {}
+            TypeTable(self._table) if config.type_plane else None)
+        self._peer_tables: Dict[str, Dict[int, object]] = {}
+        self._type_views: Dict[str, PeerTypeView] = {}
         self._receiver = ReliableReceiver(self.sim, self.config.reliable,
                                           self._deliver_remote,
                                           self._send_nack,
@@ -676,10 +659,8 @@ class BusDaemon:
         # one encoding per fan-out: the broadcast medium carries these
         # bytes to every consumer, so publisher cost is independent of
         # the consumer count (the paper's headline claim)
-        self._socket.broadcast(
-            encode_packet(packet, self._wire_table,
-                          type_table=self._type_table),
-            self._port)
+        self._socket.broadcast(encode_packet(packet, self._table),
+                               self._port)
 
     def _send_heartbeat(self) -> None:
         if not self.up or self._sender.last_seq == 0:
@@ -694,17 +675,12 @@ class BusDaemon:
     # ------------------------------------------------------------------
     def _on_datagram(self, data: bytes, size: int, src: Endpoint) -> None:
         try:
-            packet = decode_packet(data, tables=self._peer_tables,
-                                   type_tables=self._peer_type_tables)
+            packet = decode_packet(data, self._peer_tables)
         except UnresolvedIds as err:
-            # CRC-valid but referencing table ids — string or type — we
-            # never learned (the defining frame was lost): drop it like
-            # a gap, but *arm the repair* — the self-contained RETRANS
-            # will resolve
-            if isinstance(err, UnresolvedTypeId):
-                self._typedef_unresolved.value += 1
-            else:
-                self._unresolved_dropped.value += 1
+            # CRC-valid but referencing dictionary ids we never learned
+            # (the defining frame was lost): drop it like a gap, but
+            # *arm the repair* — the self-contained RETRANS will resolve
+            self._unresolved_dropped.value += 1
             if self.tracer:
                 self.tracer.emit(self.sim.now, "wire.unresolved",
                                  session=err.session,
@@ -745,15 +721,12 @@ class BusDaemon:
         if self.tracer:
             self.tracer.emit(self.sim.now, "retransmit", first=first,
                              last=last, count=len(repairs))
-        # the repair defines every table id — string *and* type — it
-        # references, so the requester decodes it even if it missed the
-        # defining DATA frame
+        # the repair defines every dictionary id it references, so the
+        # requester decodes it even if it missed the defining DATA frame
         reply = Packet(PacketKind.RETRANS, self.session, repairs,
                        session_start=self.session_started)
-        self._socket.sendto(
-            encode_packet(reply, self._wire_table,
-                          type_table=self._type_table),
-            src[0], self._port)
+        self._socket.sendto(encode_packet(reply, self._table),
+                            src[0], self._port)
 
     def _send_nack(self, session: str, first: int, last: int) -> None:
         if not self.up:
@@ -919,8 +892,8 @@ class BusDaemon:
         reliable protocol entirely, so they never consume data-plane
         sequence numbers, never trigger NACKs, and are trivially
         identifiable for exclusion from the counters they would perturb.
-        They are plain-encoded (no string table) so the data plane's
-        wire-compression state is untouched, and they queue in a private
+        They are plain-encoded (no session dictionary) so the data
+        plane's dictionary state is untouched, and they queue in a private
         drop-oldest buffer so a congested wire sheds stale snapshots
         instead of amplifying load — the no-echo invariant.
         """
@@ -948,7 +921,7 @@ class BusDaemon:
             envelope = self._stat_queue.take()
             packet = Packet(PacketKind.DATA, self.session, [envelope],
                             session_start=self.session_started)
-            # plain encoding: stat frames never touch the string table
+            # plain encoding: stat frames never touch the dictionary
             self._stat_socket.broadcast(encode_packet(packet),
                                         self._stat_port)
 
@@ -985,13 +958,9 @@ class BusDaemon:
     # ------------------------------------------------------------------
     # session type plane (see repro.core.typeplane)
     # ------------------------------------------------------------------
-    @property
-    def type_table(self) -> Optional[TypeTable]:
-        """This session's sender-side type table (None with the plane off)."""
-        return self._type_table
-
     def type_table_for(self, subject: str) -> Optional[TypeTable]:
-        """The sender-side type table a publish on ``subject`` rides.
+        """The sender-side type table a publish on ``subject`` rides
+        (None with the type plane off).
 
         On an unsharded daemon this is the one session table; the
         :class:`~repro.core.sharding.ShardedDaemon` override routes to
@@ -1002,21 +971,22 @@ class BusDaemon:
 
     def type_resolver(self, session: str):
         """The resolver clients use to decode ``O``-tagged payloads from
-        ``session``: this daemon's own :class:`TypeTable` for loop-back
-        deliveries, or a cached :class:`PeerTypeView` over the typedefs
-        learned from that peer session's frames.  ``None`` when the
-        session is unknown (a typed payload then fails decode with
-        ``UnknownTypeError`` — counted by the client, never a crash).
+        ``session``: a cached :class:`PeerTypeView` over that session's
+        dictionary entries — this daemon's own for loop-back deliveries,
+        the ones learned from the peer's frames otherwise.  ``None``
+        when the session is unknown (a typed payload then fails decode
+        with ``UnknownTypeError`` — counted by the client, never a
+        crash).
         """
-        if self._type_table is not None and session == self.session:
-            return self._type_table
-        raw = self._peer_type_tables.get(session)
-        if raw is None:
-            return None
-        view = self._peer_type_views.get(session)
+        view = self._type_views.get(session)
         if view is None:
-            view = PeerTypeView(raw)
-            self._peer_type_views[session] = view
+            if session == self.session and self._table is not None:
+                raw = self._table.entries
+            else:
+                raw = self._peer_tables.get(session)
+                if raw is None:
+                    return None
+            view = self._type_views[session] = PeerTypeView(raw)
         return view
 
     # ------------------------------------------------------------------
@@ -1034,22 +1004,15 @@ class BusDaemon:
         return stats
 
     def wire_stats(self) -> Dict[str, Any]:
-        """Wire state: compression and typedef tables, and unresolvable
-        drops."""
+        """Wire state: session-dictionary sizes and unresolvable drops."""
         return {
-            "compression": self._wire_table is not None,
-            "table_strings": len(self._wire_table)
-            if self._wire_table is not None else 0,
+            "compression": self.config.wire_compression,
+            "type_plane": self.config.type_plane,
+            "table_entries": (len(self._table)
+                              if self._table is not None else 0),
             "peer_sessions": len(self._peer_tables),
-            "peer_strings": sum(len(t) for t in self._peer_tables.values()),
+            "peer_entries": sum(len(t) for t in self._peer_tables.values()),
             "unresolved_dropped": self.unresolved_dropped,
-            "type_plane": self._type_table is not None,
-            "typedef_table_types": (len(self._type_table)
-                                    if self._type_table is not None else 0),
-            "typedef_peer_sessions": len(self._peer_type_tables),
-            "typedef_peer_types": sum(
-                len(t) for t in self._peer_type_tables.values()),
-            "typedef_unresolved_dropped": self.typedef_unresolved_dropped,
         }
 
     def shard_stats(self) -> List[Dict[str, Any]]:

@@ -82,9 +82,9 @@ class Envelope:
     envelope_id: int = 0
     #: session type-table ids the payload references when it was
     #: marshalled with :func:`repro.objects.marshal.encode_typed`; the
-    #: wire layer rides the matching typedef definitions in-band
-    #: (:mod:`repro.core.typeplane`).  Send-side only — never encoded
-    #: into the envelope body, so decoded envelopes leave it empty.
+    #: wire layer lists them in the envelope header of dictionary
+    #: frames and rides the matching typedef definitions in-band
+    #: (:mod:`repro.core.typeplane`); plain frames leave them out.
     type_refs: Tuple[int, ...] = ()
 
     @property

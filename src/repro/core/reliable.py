@@ -368,8 +368,8 @@ class ReliableReceiver:
     def note_undecodable(self, session: str, first_seq: int, last_seq: int,
                          session_start: Optional[float] = None) -> None:
         """A frame from ``session`` arrived intact but could not be
-        resolved (compressed header ids this receiver never learned —
-        see :class:`~repro.core.wire.UnresolvedStringId`).
+        resolved (session-dictionary ids this receiver never learned —
+        see :class:`~repro.core.wire.UnresolvedIds`).
 
         The frame was dropped, so its envelopes never reached
         :meth:`handle_envelope`; without this hook the hole would only be

@@ -510,8 +510,8 @@ class RouterLeg:
         traversed, including this one — the loop/duplicate guard for
         arbitrary topologies.  Because this goes through an ordinary
         ``client.publish``, the egress daemon stamps a fresh envelope
-        under its *own* session and re-encodes it against its own wire
-        string table (:mod:`repro.core.wire`) — the extended ``via``
+        under its *own* session and re-encodes it against its own
+        session dictionary (:mod:`repro.core.wire`) — the extended ``via``
         tuple and any transformed subject get their own table ids, so
         forwarded frames never leak another bus's table state.
         """

@@ -8,10 +8,9 @@ first element to one of N shard planes, and a :class:`ShardedDaemon`
 facade owns N :class:`~repro.core.daemon.BusDaemon` instances behind
 the daemon interface clients and routers already speak.  Each plane is
 a self-contained bus daemon: its own port pair, CPU lane, reliable
-sessions, wire string table, session type table, and telemetry
-publisher.  Planes never share wire state, so everything the
-wire-efficiency arc built (header compression, the type plane) rides
-unchanged per plane.
+sessions, session dictionary, and telemetry publisher.  Planes never
+share wire state, so everything the wire-efficiency arc built (header
+compression, the type plane) rides unchanged per plane.
 
 Shard map rules (all deterministic, all derived from the subject's
 first element — the paper's own partitioning hint):
@@ -223,14 +222,11 @@ class ShardedDaemon:
     # ------------------------------------------------------------------
     # session type plane
     # ------------------------------------------------------------------
-    @property
-    def type_table(self) -> Optional[TypeTable]:
-        return self.shards[0].type_table
-
     def type_table_for(self, subject: str) -> Optional[TypeTable]:
         """The owning plane's type table — typed payloads must reference
         ids defined on the plane that carries them."""
-        return self.shards[self.map.shard_of(subject)].type_table
+        return self.shards[self.map.shard_of(subject)].type_table_for(
+            subject)
 
     def type_resolver(self, session: str):
         for daemon in self.shards:
@@ -265,10 +261,6 @@ class ShardedDaemon:
     @property
     def unresolved_dropped(self) -> int:
         return sum(d.unresolved_dropped for d in self.shards)
-
-    @property
-    def typedef_unresolved_dropped(self) -> int:
-        return sum(d.typedef_unresolved_dropped for d in self.shards)
 
     # ------------------------------------------------------------------
     # introspection (aggregated across planes)

@@ -33,7 +33,7 @@ anyone holding the bytes can decode them.  ``O``-tag payloads
 (:func:`encode_typed`) instead reference the publishing session's type
 table and need a ``type_resolver`` at decode time — the definitions
 ride once per session on the wire frames themselves (see
-``docs/PROTOCOLS.md``, "The session type plane").
+``docs/PROTOCOLS.md``, "Session dictionary").
 """
 
 from __future__ import annotations
@@ -370,8 +370,8 @@ def _description_deps(desc: Dict) -> List[str]:
 def _register_learned(registry: TypeRegistry, desc: Dict, resolver,
                       pending: Set[str]) -> None:
     """Register a type learned from the session type plane, dependencies
-    first (the typedef region carries descriptions individually, not in
-    closure order, so the receiver re-derives the order here)."""
+    first (the wire carries descriptions individually, not in closure
+    order, so the receiver re-derives the order here)."""
     name = desc["name"]
     if name in pending:
         return   # self/mutually-referential types; registry validates

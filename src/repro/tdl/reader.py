@@ -104,10 +104,11 @@ def _parse_atom(token: str):
         return int(token)
     except ValueError:
         pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
+    if any(c.isdigit() for c in token):   # ``inf``/``nan`` are symbols
+        try:
+            return float(token)
+        except ValueError:
+            pass
     return Symbol(token)
 
 

@@ -1,11 +1,12 @@
 """End-to-end tests for the session type plane on the simulated bus.
 
-The invariants mirror the string-table ones (PR 6), one layer up:
+Typedefs share the session dictionary with header strings, so the
+invariants are the dictionary ones, seen from typed payloads:
 
 * receivers with bare registries learn types from typedefs riding the
   wire frames, once per session — not from per-payload metadata;
 * a receiver that missed the defining frame hits a typed, repairable
-  decode failure (``UnresolvedTypeId`` → drop + NACK arming, never a
+  decode failure (``UnresolvedIds`` → drop + NACK arming, never a
   crash), and the RETRANS repair re-defines everything it references;
 * guaranteed traffic stays self-contained (ledger entries outlive the
   session the type ids are scoped to);
@@ -28,6 +29,15 @@ def story_registry():
                              AttributeSpec("source", "source",
                                            required=False)]))
     return reg
+
+
+def typedefs(entries):
+    """How many typedef entries (``bytes``) a dictionary map holds."""
+    return sum(isinstance(value, bytes) for value in entries.values())
+
+
+def peer_typedefs(daemon):
+    return sum(typedefs(t) for t in daemon._peer_tables.values())
 
 
 def make_bus(seed=1, hosts=3, cost=None, **cfg):
@@ -57,10 +67,9 @@ def test_bare_receiver_learns_types_from_the_wire():
     assert sub.registry.has("story") and sub.registry.has("source")
     assert sub.decode_errors == 0
     # the definitions travelled once, not in every payload
-    recv = bus.daemons["node01"].wire_stats()
-    assert recv["typedef_peer_sessions"] == 1
-    assert recv["typedef_peer_types"] == 3          # root, source, story
-    assert bus.daemons["node00"].wire_stats()["typedef_table_types"] == 3
+    assert bus.daemons["node01"].wire_stats()["peer_sessions"] == 1
+    assert peer_typedefs(bus.daemons["node01"]) == 3   # root, source, story
+    assert typedefs(bus.daemons["node00"]._table.entries) == 3
 
 
 def test_steady_state_payloads_shrink():
@@ -114,8 +123,7 @@ def test_unresolved_type_id_drops_and_arms_repair():
     sub = bus.client("node01", "mon")
     sub.subscribe("news.>", lambda s, o, i: got.append(o))
     # teach node01 the header *strings* with an untyped publish, so the
-    # later failure is isolated to the type plane (string misses take
-    # precedence and would mask it)
+    # later failure is isolated to the type plane
     pub.publish("news.x", {"warmup": True})
     bus.settle()
     # the typedef-defining frame exists but node01 never hears it
@@ -127,13 +135,13 @@ def test_unresolved_type_id_drops_and_arms_repair():
         pub.publish("news.x", make_story(reg, n))
     bus.run_for(5.0)
     daemon = bus.daemons["node01"]
-    assert daemon.typedef_unresolved_dropped > 0
+    assert daemon.unresolved_dropped > 0
     # repair re-defined everything: warmup dict + all four stories
     stories = [o.get("n") for o in got[1:]]
     assert stories == list(range(4))
     assert sub.decode_errors == 0
-    assert daemon.wire_stats()["typedef_unresolved_dropped"] == \
-        daemon.typedef_unresolved_dropped
+    assert daemon.wire_stats()["unresolved_dropped"] == \
+        daemon.unresolved_dropped
 
 
 def test_late_joiner_catches_the_suffix():
@@ -193,8 +201,8 @@ def test_plane_off_reproduces_inline_baseline():
     assert sub.registry.has("story")       # learned inline, the old way
     stats = bus.daemons["node00"].wire_stats()
     assert stats["type_plane"] is False
-    assert stats["typedef_table_types"] == 0
-    assert bus.daemons["node01"].wire_stats()["typedef_peer_sessions"] == 0
+    assert typedefs(bus.daemons["node00"]._table.entries) == 0
+    assert peer_typedefs(bus.daemons["node01"]) == 0
 
 
 def test_explicit_inline_types_bypasses_the_plane():
@@ -207,7 +215,7 @@ def test_explicit_inline_types_bypasses_the_plane():
     pub.publish("news.x", make_story(reg, 0), inline_types=True)
     pub.publish("news.x", make_story(reg, 1), inline_types=True)
     bus.settle()
-    assert bus.daemons["node00"].wire_stats()["typedef_table_types"] == 0
+    assert typedefs(bus.daemons["node00"]._table.entries) == 0
     assert got[0] == got[1]                # both self-contained, same size
 
 
@@ -232,7 +240,7 @@ def test_uninterested_daemon_still_learns_typedefs():
     assert late_box == list(range(late_box[0], 30))
     assert client.decode_errors == 0
     # the typedefs arrived on frames heard before the subscribe
-    assert daemon.wire_stats()["typedef_peer_types"] == 3
+    assert peer_typedefs(daemon) == 3
     session = bus.daemons["node00"].session
     assert daemon.reliable_stats(session).nacks_sent == 0
 

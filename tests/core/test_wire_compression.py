@@ -1,8 +1,8 @@
 """Wire header compression end-to-end: fewer bytes, same behaviour.
 
 The daemon-level contract: with ``BusConfig.wire_compression`` on (the
-default), DATA/RETRANS frames ride the wire with string-table ids in
-place of repeated header strings — measurably fewer bytes — while every
+default), DATA/RETRANS frames ride the wire with session-dictionary ids
+in place of repeated header strings — measurably fewer bytes — while every
 delivery guarantee holds unchanged: exactly-once in-order delivery under
 corruption, NACK repair, and late joiners who never saw the defining
 frames (the unresolvable-id path: drop + NACK + self-contained RETRANS,
@@ -56,13 +56,13 @@ def test_wire_stats_reflect_mode():
     on, _ = fanout_run(True, messages=10)
     stats = on.daemons["node00"].wire_stats()
     assert stats["compression"] is True
-    assert stats["table_strings"] > 0           # the publisher interned
+    assert stats["table_entries"] > 0           # the publisher interned
     consumer = on.daemons["node01"].wire_stats()
-    assert consumer["peer_strings"] > 0         # the consumer learned
+    assert consumer["peer_entries"] > 0         # the consumer learned
     off, _ = fanout_run(False, messages=10)
     stats = off.daemons["node00"].wire_stats()
     assert stats["compression"] is False
-    assert stats["table_strings"] == 0
+    assert stats["table_entries"] == 0          # untyped: nothing to hold
 
 
 @pytest.mark.parametrize("compression", [True, False])

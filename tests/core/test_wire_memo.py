@@ -6,11 +6,17 @@ receiver whose copy arrived with a bit flipped therefore never hits the
 cache — its bytes hash differently — and the CRC still rejects it.
 """
 
+from io import BytesIO
+
 import pytest
 
-from repro.core import (CorruptFrame, Envelope, EnvelopeView, Packet,
-                        PacketKind, decode_packet, encode_packet)
+from repro.core import (CorruptFrame, Envelope, EnvelopeView,
+                        InformationBus, Packet, PacketKind, decode_packet,
+                        encode_packet)
 from repro.core import wire
+from repro.sim import CostModel
+from repro.sim.framing import (frame, write_bytes, write_f64, write_str,
+                               write_varint)
 
 
 @pytest.fixture(autouse=True)
@@ -124,3 +130,47 @@ def test_envelope_view_equals_eager_envelope():
     assert view == eager
     assert eager == view              # reflected comparison too
     assert view != make_envelope(seq=4)
+
+
+def _hostile_typed_frame(defs, refs):
+    """A CRC-valid DATA frame in the retired frame-level typedef layout:
+    packet flag 0x20, a typedef list, a type-ref list, zero envelopes."""
+    out = BytesIO()
+    out.write(bytes((0, 0x20)))                   # DATA, old TYPED bit
+    write_str(out, "node09#0")
+    write_f64(out, 0.0)
+    write_varint(out, 0)                          # last_seq
+    write_varint(out, len(defs))
+    for tid, blob in defs:
+        write_varint(out, tid)
+        write_bytes(out, blob)
+    write_varint(out, len(refs))
+    for tid in refs:
+        write_varint(out, tid)
+    write_varint(out, 0)                          # no envelopes
+    return frame(out.getvalue())
+
+
+@pytest.mark.parametrize("capacity", [wire.DEFAULT_DECODE_MEMO_CAPACITY, 0])
+def test_hostile_typed_frame_is_corrupt_for_every_receiver(capacity):
+    """Receiver A learns type id 5 and decodes a frame referencing it;
+    receiver B never learned it.  With the memo on, B's decode is a memo
+    hit on A's parse.  The same bytes must be a counted CorruptFrame
+    drop at both daemons — never an uncaught exception from outside
+    input."""
+    wire.configure_decode_memo(capacity)
+    bus = InformationBus(seed=1, cost=CostModel.ideal())
+    bus.add_hosts(3)
+    a, b = bus.daemons["node01"], bus.daemons["node02"]
+    teach = _hostile_typed_frame([(5, b"typedef")], [5])
+    hostile = _hostile_typed_frame([], [5])
+    a._on_datagram(teach, len(teach), ("node09", 7))
+    drops = []
+    for daemon in (a, b):
+        before = daemon.corrupt_dropped
+        daemon._on_datagram(hostile, len(hostile), ("node09", 7))
+        drops.append(daemon.corrupt_dropped - before)
+    assert drops == [1, 1]
+    for tables in ({"node09#0": {5: b"typedef"}}, {}):
+        with pytest.raises(CorruptFrame):
+            decode_packet(hostile, tables)

@@ -1,12 +1,12 @@
-"""Wire header compression at the codec level: string tables, the
-self-contained frame rule, and per-receiver decode-memo honesty.
+"""Wire header compression at the codec level: the session dictionary,
+the self-contained frame rule, and per-receiver decode-memo honesty.
 
-A publishing daemon's :class:`StringTable` assigns dense ids to repeated
+A publishing daemon's :class:`SessionTable` assigns dense ids to repeated
 header strings; receivers learn ``id -> string`` per session from the
 inline definition sections.  The invariants under test:
 
-* a DATA frame defines every id *first used* in it — so the first frame
-  of a session decodes with zero prior state;
+* a DATA frame defines every id no earlier DATA frame carried — so the
+  first frame of a session decodes with zero prior state;
 * later frames reference without redefining — smaller, but unresolvable
   to a receiver that missed the defining frame (a typed, repairable
   failure, never a crash);
@@ -25,7 +25,7 @@ import pytest
 from repro.core import (BusConfig, Envelope, InformationBus, Packet,
                         PacketKind, QoS)
 from repro.core import wire
-from repro.core.wire import (CorruptFrame, StringTable, UnresolvedStringId,
+from repro.core.wire import (CorruptFrame, SessionTable, UnresolvedIds,
                              decode_packet, encode_packet)
 from repro.sim import CostModel
 from repro.sim.framing import flip_random_bit
@@ -46,15 +46,15 @@ def data_frame(table, seqs, subject="news.equity.gmc", session="node00#0"):
 
 class TestStringTable:
     def test_ids_are_dense_and_stable(self):
-        table = StringTable()
-        assert table.intern("alpha") == (0, True)
-        assert table.intern("beta") == (1, True)
-        assert table.intern("alpha") == (0, False)
+        table = SessionTable()
+        assert table.intern("alpha") == 0
+        assert table.intern("beta") == 1
+        assert table.intern("alpha") == 0
         assert len(table) == 2
-        assert table.strings == ["alpha", "beta"]
+        assert table.entries == {0: "alpha", 1: "beta"}
 
     def test_compressed_round_trip_equals_plain(self):
-        table = StringTable()
+        table = SessionTable()
         envelope = make_envelope(1, qos=QoS.GUARANTEED,
                                  ledger_id="node00/g/1")
         envelope.via = ("wan-router",)
@@ -64,7 +64,7 @@ class TestStringTable:
             decode_packet(encode_packet(packet))
 
     def test_steady_state_frames_are_smaller(self):
-        table = StringTable()
+        table = SessionTable()
         first = data_frame(table, [1])
         second = data_frame(table, [2])
         plain = len(encode_packet(Packet(
@@ -76,22 +76,22 @@ class TestStringTable:
         assert len(second) < plain
 
     def test_encoding_is_deterministic(self):
-        t1, t2 = StringTable(), StringTable()
+        t1, t2 = SessionTable(), SessionTable()
         assert data_frame(t1, [1]) == data_frame(t2, [1])
 
 
 class TestSelfContainedFrames:
     def test_first_frame_decodes_with_zero_state(self):
-        table = StringTable()
+        table = SessionTable()
         packet = decode_packet(data_frame(table, [1]))
         assert packet.envelopes[0].subject == "news.equity.gmc"
         assert packet.envelopes[0].session == "node00#0"
 
     def test_later_frame_alone_is_unresolvable(self):
-        table = StringTable()
+        table = SessionTable()
         data_frame(table, [1])                    # defines the ids
         second = data_frame(table, [2, 3])        # references only
-        with pytest.raises(UnresolvedStringId) as exc:
+        with pytest.raises(UnresolvedIds) as exc:
             decode_packet(second)
         err = exc.value
         assert err.session == "node00#0"
@@ -101,7 +101,7 @@ class TestSelfContainedFrames:
         assert isinstance(err, CorruptFrame)     # drop-and-repair family
 
     def test_receiver_table_makes_later_frames_resolvable(self):
-        table = StringTable()
+        table = SessionTable()
         first = data_frame(table, [1])
         second = data_frame(table, [2])
         tables = {}
@@ -113,11 +113,11 @@ class TestSelfContainedFrames:
     def test_definitions_survive_a_failed_resolution(self):
         """A CRC-valid frame teaches its defs even when it can't be
         resolved — that is what makes the eventual repair decodable."""
-        table = StringTable()
+        table = SessionTable()
         data_frame(table, [1])                               # lost frame
         second = data_frame(table, [2], subject="news.bond.t30")
         tables = {}
-        with pytest.raises(UnresolvedStringId):
+        with pytest.raises(UnresolvedIds):
             decode_packet(second, tables=tables)             # new subject
         learned = set(tables["node00#0"].values())
         assert "news.bond.t30" in learned                    # def learned
@@ -125,7 +125,7 @@ class TestSelfContainedFrames:
 
     def test_retrans_defines_everything_it_references(self):
         """A NACK repair must decode at a receiver with zero state."""
-        table = StringTable()
+        table = SessionTable()
         data_frame(table, [1])                    # the defining DATA frame
         envelope = make_envelope(1)
         repair = encode_packet(Packet(PacketKind.RETRANS, "node00#0",
@@ -135,7 +135,7 @@ class TestSelfContainedFrames:
         assert packet.envelopes[0].subject == "news.equity.gmc"
 
     def test_control_packets_are_never_compressed(self):
-        table = StringTable()
+        table = SessionTable()
         for packet in (
                 Packet(PacketKind.HEARTBEAT, "node00#0", last_seq=9),
                 Packet(PacketKind.NACK, "node00#0", nack_range=(1, 4)),
@@ -145,7 +145,7 @@ class TestSelfContainedFrames:
         assert len(table) == 0                    # nothing interned
 
     def test_corrupted_compressed_frame_still_crc_fails(self):
-        table = StringTable()
+        table = SessionTable()
         data = data_frame(table, [1])
         for seed in range(64):
             flipped = flip_random_bit(data, random.Random(seed))
@@ -155,21 +155,25 @@ class TestSelfContainedFrames:
 
 class TestEncodeCache:
     def test_compressed_encoding_computed_once(self):
-        table = StringTable()
+        table = SessionTable()
         envelope = make_envelope(1)
         packet = Packet(PacketKind.DATA, "node00#0", [envelope],
                         session_start=0.0)
         first = encode_packet(packet, table)
-        assert encode_packet(packet, table) == first
         cached = envelope._wire_cache_z
-        encode_packet(packet, table)
+        again = encode_packet(packet, table)
         assert envelope._wire_cache_z is cached   # no re-marshal
+        # the same body, without the definitions the first frame carried
+        assert len(again) < len(first)
+        tables = {}
+        assert decode_packet(first, tables=tables) == \
+            decode_packet(again, tables=tables)
 
     def test_cache_is_table_scoped(self):
         """A router republishes under its own daemon's table: the cached
         compressed body from another table must never be reused."""
         envelope = make_envelope(1)
-        t1, t2 = StringTable(), StringTable()
+        t1, t2 = SessionTable(), SessionTable()
         p = Packet(PacketKind.DATA, "node00#0", [envelope],
                    session_start=0.0)
         encode_packet(p, t1)
@@ -179,7 +183,7 @@ class TestEncodeCache:
         assert decoded.envelopes[0].subject == "news.equity.gmc"
 
     def test_restamped_envelope_invalidates_cache(self):
-        table = StringTable()
+        table = SessionTable()
         envelope = make_envelope(1)
         p = Packet(PacketKind.DATA, "node00#0", [envelope],
                    session_start=0.0)
@@ -192,7 +196,7 @@ class TestEncodeCache:
 
 class TestDecodeMemoHonesty:
     def test_memo_hit_replays_defs_into_receiver_table(self):
-        table = StringTable()
+        table = SessionTable()
         first = data_frame(table, [1])
         a, b = {}, {}
         decode_packet(first, tables=a)            # fresh parse
@@ -203,13 +207,13 @@ class TestDecodeMemoHonesty:
     def test_memo_hit_still_unresolvable_for_cold_receiver(self):
         """Receiver A heard the defining frame; receiver B did not.  The
         shared memo must not leak A's resolution to B."""
-        table = StringTable()
+        table = SessionTable()
         first = data_frame(table, [1])
         second = data_frame(table, [2])
         a, b = {}, {}
         decode_packet(first, tables=a)
         decode_packet(second, tables=a)           # A resolves; memo primed
-        with pytest.raises(UnresolvedStringId) as exc:
+        with pytest.raises(UnresolvedIds) as exc:
             decode_packet(second, tables=b)       # memo hit, B still cold
         assert (exc.value.first_seq, exc.value.last_seq) == (2, 2)
         # after hearing the defining frame (e.g. via repair), B resolves
@@ -222,11 +226,11 @@ class TestDecodeMemoHonesty:
         sessions with colliding names but different tables; a value
         mismatch must bypass the memo and parse fresh against the
         receiver's own table, not serve the first parser's strings."""
-        table = StringTable()
+        table = SessionTable()
         data_frame(table, [1])
         second = data_frame(table, [2])
         a = {}
-        decode_packet(data_frame(StringTable(), [1]), tables=a)  # same bytes
+        decode_packet(data_frame(SessionTable(), [1]), tables=a)  # same bytes
         served = decode_packet(second, tables=a)  # primes memo with needs
         # a receiver whose table maps the same ids to different strings
         conflicting = {"node00#0": {i: f"other-{i}" for i in range(8)}}
@@ -240,7 +244,7 @@ class TestDecodeMemoHonesty:
 
     def test_memo_disabled_still_resolves(self):
         wire.configure_decode_memo(0)
-        table = StringTable()
+        table = SessionTable()
         first, second = data_frame(table, [1]), data_frame(table, [2])
         tables = {}
         decode_packet(first, tables=tables)
@@ -252,7 +256,7 @@ class TestInterning:
     def test_header_strings_are_interned(self):
         """Subject-match memo and per-app lanes key on identical
         objects: two decodes of the same header yield the same str."""
-        table = StringTable()
+        table = SessionTable()
         first = data_frame(table, [1])
         wire.configure_decode_memo(0)             # force two real parses
         p1 = decode_packet(first, tables={})
@@ -261,7 +265,7 @@ class TestInterning:
         assert p1.session is p2.session
 
     def test_table_resolution_returns_interned_string(self):
-        table = StringTable()
+        table = SessionTable()
         wire.configure_decode_memo(0)
         first, second = data_frame(table, [1]), data_frame(table, [2])
         tables = {}
@@ -283,7 +287,7 @@ class TestLedgerIdsRideInline:
                                     session_start=0.0), table)
 
     def test_guaranteed_publishes_do_not_grow_the_table(self):
-        table = StringTable()
+        table = SessionTable()
         data_frame(table, [1])                    # warm-up header strings
         warm = len(table)
         for seq in range(2, 502):
@@ -291,7 +295,7 @@ class TestLedgerIdsRideInline:
         assert len(table) == warm
 
     def test_republish_decodes_with_warm_up_strings_only(self):
-        table = StringTable()
+        table = SessionTable()
         tables = {}
         decode_packet(data_frame(table, [1]), tables=tables)
         self.guaranteed_frame(table, 2, "node00/g/2")        # lost frame
@@ -313,5 +317,5 @@ class TestLedgerIdsRideInline:
         assert len(got) == 500
         assert not bus.daemon("node00").guaranteed_pending()
         # subject, sender and session: nothing per message
-        assert bus.daemon("node00").wire_stats()["table_strings"] == 3
-        assert bus.daemon("node01").wire_stats()["peer_strings"] == 3
+        assert bus.daemon("node00").wire_stats()["table_entries"] == 3
+        assert bus.daemon("node01").wire_stats()["peer_entries"] == 3

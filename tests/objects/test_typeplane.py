@@ -3,7 +3,9 @@ PeerTypeView, and the typed (``O``-tag) marshal path."""
 
 import pytest
 
-from repro.core import PeerTypeView, TypeTable
+from repro.core import (Envelope, Packet, PacketKind, PeerTypeView,
+                        SessionTable, TypeTable, decode_packet,
+                        encode_packet, wire)
 from repro.objects import (AttributeSpec, DataObject, TypeDescriptor,
                            UnknownTypeError, decode, encode, encode_typed,
                            encoded_size, standard_registry)
@@ -69,31 +71,60 @@ def test_redefined_shape_takes_a_fresh_id(reg):
     new = table.intern(redefined)
     assert new != old
     # name lookup resolves to the latest shape
-    assert table.named("story")["attributes"][1]["name"] == "byline"
+    view = PeerTypeView(table.table.entries)
+    assert view.named("story")["attributes"][1]["name"] == "byline"
 
 
-def test_pending_defs_marks_each_id_once(reg):
-    table = TypeTable()
-    sid = table.intern(reg.get("source"))
-    tid = table.intern(reg.get("story"))
-    assert table.pending_defs((sid, tid)) == [sid, tid]
-    assert table.pending_defs((sid, tid)) == []   # already on the wire
-    assert table.wire_defined == {sid, tid}
+def test_types_share_the_session_dictionary(reg):
+    session = SessionTable()
+    assert session.intern("news.x") == 0          # a header string
+    table = TypeTable(session)
+    assert table.intern(reg.get("source")) == 1   # the next dense id
+    assert len(table) == 1 and len(session) == 2
+
+
+def test_data_frames_define_each_type_id_once(reg):
+    session = SessionTable()
+    table = TypeTable(session)
+    refs = (table.intern(reg.get("source")), table.intern(reg.get("story")))
+
+    def typed_frame(seq, kind=PacketKind.DATA):
+        envelope = Envelope(subject="news.x", sender="a", session="h#0",
+                            seq=seq, payload=b"p", type_refs=refs)
+        return encode_packet(Packet(kind, "h#0", [envelope]), session)
+
+    defined = wire.wire_metrics().counter("wire.typedef.defined")
+    before = defined.value
+    typed_frame(1)
+    assert defined.value - before == 2            # first DATA frame
+    assert session.wire_defined >= set(refs)
+    typed_frame(2)
+    assert defined.value - before == 2            # already on the wire
+    repair = typed_frame(2, PacketKind.RETRANS)   # repairs define all
+    assert defined.value - before == 4
+    assert decode_packet(repair).envelopes[0].type_refs == refs
 
 
 def test_blob_round_trips_description(reg):
     table = TypeTable()
     tid = table.intern(reg.get("story"))
-    assert decode(table.blob(tid), None) == reg.get("story").describe()
+    assert decode(table.table.entries[tid], None) == \
+        reg.get("story").describe()
 
 
-def test_table_is_its_own_resolver(reg):
-    table = TypeTable()
+def test_view_over_own_entries_resolves(reg):
+    """The publishing daemon resolves loop-back deliveries through the
+    same view receivers use, over its own dictionary entries."""
+    session = SessionTable()
+    session.intern("news.x")                      # a header string
+    table = TypeTable(session)
     tid = table.intern(reg.get("source"))
-    assert table.description(tid)["name"] == "source"
-    assert table.description(99) is None
-    assert table.named("source")["name"] == "source"
-    assert table.named("nope") is None
+    view = PeerTypeView(session.entries)
+    assert view.description(tid)["name"] == "source"
+    assert view.description(0) is None            # skips header strings
+    assert view.description(99) is None
+    assert view.named("source")["name"] == "source"
+    assert view.named("nope") is None
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +135,7 @@ def make_view(reg, *names):
     raw = {}
     for name in names:
         tid = table.intern(reg.get(name))
-        raw[tid] = table.blob(tid)
+        raw[tid] = table.table.entries[tid]
     return raw, PeerTypeView(raw)
 
 
@@ -122,7 +153,7 @@ def test_peer_view_sees_raw_map_mutations(reg):
     table = TypeTable()
     table.intern(reg.get("source"))
     tid = table.intern(reg.get("story"))
-    raw[tid] = table.blob(tid)            # wire layer learns a new def
+    raw[tid] = table.table.entries[tid]   # wire layer learns a new def
     assert view.named("story")["name"] == "story"
 
 
@@ -133,7 +164,7 @@ def test_peer_view_named_prefers_latest_redefinition(reg):
         "story", attributes=[AttributeSpec("headline", "string"),
                              AttributeSpec("byline", "string")])
     new = table.intern(redefined)
-    raw = {old: table.blob(old), new: table.blob(new)}
+    raw = {old: table.table.entries[old], new: table.table.entries[new]}
     view = PeerTypeView(raw)
     names = [a["name"] for a in view.named("story")["attributes"]]
     assert "byline" in names
@@ -149,7 +180,8 @@ def test_typed_round_trip_through_resolver(reg):
     payload, refs = encode_typed(story, reg, table)
     assert len(refs) == 3                 # closure: root + source + story
     fresh = standard_registry()           # knows neither type
-    back = decode(payload, fresh, type_resolver=table)
+    back = decode(payload, fresh,
+                  type_resolver=PeerTypeView(table.table.entries))
     assert back == story
     assert back.get("source").get("name") == "Reuters"
     assert fresh.has("story") and fresh.has("source")
@@ -194,7 +226,8 @@ def test_conflicting_learned_shape_raises(reg):
     other.register(TypeDescriptor(
         "story", attributes=[AttributeSpec("headline", "int")]))
     with pytest.raises(TypeError_):
-        decode(payload, other, type_resolver=table)
+        decode(payload, other,
+               type_resolver=PeerTypeView(table.table.entries))
 
 
 def test_relearning_same_shape_is_idempotent(reg):
@@ -202,9 +235,10 @@ def test_relearning_same_shape_is_idempotent(reg):
     story = DataObject(reg, "story", headline="X")
     payload, _ = encode_typed(story, reg, table)
     fresh = standard_registry()
-    decode(payload, fresh, type_resolver=table)
+    view = PeerTypeView(table.table.entries)
+    decode(payload, fresh, type_resolver=view)
     before = fresh.get("story")
-    decode(payload, fresh, type_resolver=table)
+    decode(payload, fresh, type_resolver=view)
     assert fresh.get("story") is before   # same descriptor object kept
 
 

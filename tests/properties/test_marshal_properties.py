@@ -117,7 +117,7 @@ def test_truncation_never_decodes_silently(value):
 def test_typed_roundtrip_through_a_type_table(attrs):
     """``encode_typed`` + a resolver must round-trip anything the inline
     path round-trips, teaching a blank registry the same shape."""
-    from repro.core import TypeTable
+    from repro.core import PeerTypeView, TypeTable
     from repro.objects import encode_typed
     reg = doc_registry()
     obj = DataObject(reg, "doc", attrs)
@@ -125,7 +125,8 @@ def test_typed_roundtrip_through_a_type_table(attrs):
     payload, refs = encode_typed(obj, reg, table)
     assert refs                                   # a DataObject has refs
     fresh = standard_registry()
-    back = decode(payload, fresh, type_resolver=table)
+    back = decode(payload, fresh,
+                  type_resolver=PeerTypeView(table.table.entries))
     assert back == obj
     assert back.oid == obj.oid
     assert fresh.has("doc")
@@ -139,7 +140,7 @@ def test_typedef_reregistration_is_idempotent(attrs, repeats):
     """Decoding N payloads of the same session leaves one registered
     descriptor; the table interns one id per shape no matter how often
     the type is used."""
-    from repro.core import TypeTable
+    from repro.core import PeerTypeView, TypeTable
     from repro.objects import encode_typed
     reg = doc_registry()
     table = TypeTable()
@@ -147,7 +148,8 @@ def test_typedef_reregistration_is_idempotent(attrs, repeats):
     payloads = [encode_typed(DataObject(reg, "doc", attrs), reg, table)[0]
                 for _ in range(repeats)]
     for payload in payloads:
-        decode(payload, fresh, type_resolver=table)
+        decode(payload, fresh,
+               type_resolver=PeerTypeView(table.table.entries))
     assert fresh.get("doc") is fresh.get("doc")   # single stable object
     assert len(table) == len(set(
         encode_typed(DataObject(reg, "doc", attrs), reg, table)[1]))
@@ -192,7 +194,7 @@ def test_conflicting_fingerprint_redefinition_raises(attrs):
     """A session whose typedef conflicts with a receiver's registered
     shape is a per-message decode failure, exactly like inline mode."""
     import pytest
-    from repro.core import TypeTable
+    from repro.core import PeerTypeView, TypeTable
     from repro.objects import TypeError_, encode_typed
     reg = doc_registry()
     table = TypeTable()
@@ -201,7 +203,8 @@ def test_conflicting_fingerprint_redefinition_raises(attrs):
     conflicted.register(TypeDescriptor("doc", attributes=[
         AttributeSpec("other", "bytes", required=False)]))
     with pytest.raises(TypeError_):
-        decode(payload, conflicted, type_resolver=table)
+        decode(payload, conflicted,
+               type_resolver=PeerTypeView(table.table.entries))
     # inline mode fails the same way on the same conflict
     wire = encode(DataObject(reg, "doc", attrs), reg, inline_types=True)
     conflicted2 = standard_registry()

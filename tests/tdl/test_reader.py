@@ -18,6 +18,12 @@ def test_read_atoms():
     assert isinstance(read(":type"), Keyword)
 
 
+def test_float_spellings_without_digits_are_symbols():
+    for name in ("inf", "nan", "infinity", "-inf"):
+        assert read(name) == Symbol(name)
+    assert read("1e3") == 1000.0
+
+
 def test_read_list():
     form = read("(+ 1 (a b) 2)")
     assert form == [Symbol("+"), 1, [Symbol("a"), Symbol("b")], 2]
